@@ -155,7 +155,7 @@ def cmd_propagate(args) -> int:
         if engine == "fast":
             rt = Runtime(lp.program, store, inputs=lp.inputs, fuel=fuel)
             fast = rt.propagate(_resolve_edits(edits, lp.labels), fuel=fuel)
-            results[engine] = (fast.values, rt.build_store(), fast.trace,
+            results[engine] = (fast.values, fast.store, fast.trace,
                                fast.realized)
         else:
             t1 = run_from_scratch(lp.program, store, inputs=lp.inputs,
@@ -341,17 +341,21 @@ def cmd_check(args) -> int:
         t2 = m.run(fuel)
         fresh = run_from_scratch(prog, non_garbage(s2.copy()),
                                  inputs=lp.inputs, fuel=fuel)
-        report("propagate-vs-rerun",
-               canonicalize(t2.values, t2.trace, t2.store, s2)
-               == canonicalize(fresh.values, fresh.trace, fresh.store, s2))
-        report("garbage-unreachable", check_garbage_unreachable(t2))
+    except Stuck as exc:
+        report("propagate-vs-rerun", False, str(exc))
+        return 1
+    report("propagate-vs-rerun",
+           canonicalize(t2.values, t2.trace, t2.store, s2)
+           == canonicalize(fresh.values, fresh.trace, fresh.store, s2))
+    report("garbage-unreachable", check_garbage_unreachable(t2))
+    try:
         rt = Runtime(prog, lp.store.copy(), inputs=lp.inputs, fuel=fuel)
         fast = rt.propagate(_resolve_edits(edits, lp.labels), fuel=fuel)
         report("fast-vs-faithful",
                canonicalize(fast.values, fast.trace, fast.store, s2)
                == canonicalize(t2.values, t2.trace, t2.store, s2))
     except Stuck as exc:
-        report("propagate-vs-rerun", False, str(exc))
+        report("fast-vs-faithful", False, str(exc))
     return 1 if failures else 0
 
 

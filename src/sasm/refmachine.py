@@ -91,6 +91,45 @@ class RefConfig:
 TERMINATED = "terminated"
 
 
+def control_step(env: dict, e) -> tuple[str, dict, object] | None:
+    """Rules R.1-R.5, the steps no engine records in a trace.
+
+    Returns (rule tag, env, command) for a FunDef, PrimOp, If or App, and
+    None for any other command.  The tracing machine logs these steps as E.0;
+    the Runtime takes them without recording an action.
+    """
+    if isinstance(e, A.FunDef):  # R.1
+        return "R.1", {**env, e.fname: e}, e.cont
+    if isinstance(e, A.PrimOp):  # R.2
+        args = [resolve(env, v) for v in e.args]
+        return "R.2", {**env, e.var: apply_prim(e.op, args)}, e.cont
+    if isinstance(e, A.If):  # R.3 / R.4
+        if resolve(env, e.cond) != 0:
+            return "R.3", env, e.then
+        return "R.4", env, e.els
+    if isinstance(e, A.App):  # R.5
+        fdef = lookup_fun(env, e.fname)
+        if len(fdef.params) != len(e.args):
+            raise Stuck("R.5", f"{e.fname!r} takes {len(fdef.params)} args")
+        callee = dict(env)
+        callee.update((p, resolve(env, a)) for p, a in zip(fdef.params, e.args))
+        return "R.5", callee, fdef.body
+    return None
+
+
+def apply_frame(frame: Frame,
+                vals: tuple[MachineValue, ...]) -> tuple[dict, A.Expr]:
+    """Rule R.11 (the tracing machine's E.8): apply a popped frame's
+    function to the popped values; returns (env, body)."""
+    fdef = lookup_fun(frame.env, frame.fname)
+    if len(fdef.params) != len(vals):
+        raise Stuck("R.11", f"{frame.fname!r} takes {len(fdef.params)} "
+                            f"values, popped {len(vals)}")
+    env = dict(frame.env)
+    env.update(zip(fdef.params, vals))
+    return env, fdef.body
+
+
 def ref_step(c: RefConfig, debug: bool = False) -> str:
     """Apply the unique applicable rule; mutate c; return the rule tag.
 
@@ -103,42 +142,13 @@ def ref_step(c: RefConfig, debug: bool = False) -> str:
             assert isinstance(cmd.vals, tuple)
         if not c.stack:
             return TERMINATED
-        frame = c.stack.pop()  # R.11
-        fdef = lookup_fun(frame.env, frame.fname)
-        if len(fdef.params) != len(cmd.vals):
-            raise Stuck("R.11", f"{frame.fname!r} takes {len(fdef.params)} "
-                                f"values, popped {len(cmd.vals)}")
-        env = dict(frame.env)
-        env.update(zip(fdef.params, cmd.vals))
-        c.env = env
-        c.command = fdef.body
+        c.env, c.command = apply_frame(c.stack.pop(), cmd.vals)
         return "R.11"
     e = cmd
-    if isinstance(e, A.FunDef):  # R.1
-        c.env = {**c.env, e.fname: e}
-        c.command = e.cont
-        return "R.1"
-    if isinstance(e, A.PrimOp):  # R.2
-        args = [resolve(c.env, v) for v in e.args]
-        c.env = {**c.env, e.var: apply_prim(e.op, args)}
-        c.command = e.cont
-        return "R.2"
-    if isinstance(e, A.If):  # R.3 / R.4
-        v = resolve(c.env, e.cond)
-        if v != 0:
-            c.command = e.then
-            return "R.3"
-        c.command = e.els
-        return "R.4"
-    if isinstance(e, A.App):  # R.5
-        fdef = lookup_fun(c.env, e.fname)
-        if len(fdef.params) != len(e.args):
-            raise Stuck("R.5", f"{e.fname!r} takes {len(fdef.params)} args")
-        env = dict(c.env)
-        env.update((p, resolve(c.env, a)) for p, a in zip(fdef.params, e.args))
-        c.env = env
-        c.command = fdef.body
-        return "R.5"
+    step = control_step(c.env, e)
+    if step is not None:
+        tag, c.env, c.command = step
+        return tag
     if isinstance(e, A.Inst):  # R.6 via S.1-S.3
         v, s_tag = step_store(c.store, c.env, e.inst)
         c.env = {**c.env, e.var: v}
@@ -200,4 +210,5 @@ def ref_run(prog: A.Program, init_store: Store | None = None,
 
 
 __all__ = ["Frame", "Values", "RefConfig", "RefResult", "ref_step", "ref_run",
-           "apply_prim", "initial_env", "TERMINATED"]
+           "apply_prim", "control_step", "apply_frame", "initial_env",
+           "TERMINATED"]

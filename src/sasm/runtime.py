@@ -30,8 +30,8 @@ from typing import Optional
 from . import ilast as A
 from .analyses import LiveSet, live_vars
 from .errors import DEFAULT_FUEL, FuelExhausted, Stuck
-from .refmachine import Frame, apply_prim
-from .store import Loc, MachineValue, Store, UNINIT, resolve
+from .refmachine import Frame, apply_frame, control_step
+from .store import Loc, MachineValue, Store, UNINIT, resolve, step_store
 from .tracing import saved_env
 from .trace import (TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
                     Trace, from_list)
@@ -155,18 +155,6 @@ class OrderMaintenance:
             g = g.next
 
 
-def om_insert_after(o: OrderMaintenance, h: OMHandle) -> OMHandle:
-    return o.insert_after(h)
-
-
-def om_compare(o: OrderMaintenance, a: OMHandle, b: OMHandle) -> int:
-    return o.compare(a, b)
-
-
-def om_delete(o: OrderMaintenance, h: OMHandle) -> None:
-    o.delete(h)
-
-
 # -- trace nodes and packing -----------------------------------------------------
 
 BRANCH = "branch"  # control-flow marker in evaluation action streams
@@ -196,11 +184,6 @@ def pack_runs(stream: list) -> list[list]:
     if cur:
         runs.append(cur)
     return runs
-
-
-def pack_trace_nodes(stream: list) -> list["TraceNode"]:
-    """Pack an evaluation action stream into shared trace nodes."""
-    return [TraceNode("run", run) for run in pack_runs(stream)]
 
 
 class TraceNode:
@@ -355,7 +338,7 @@ class Runtime:
         self.skipped = 0
         env = {d.fname: d for d in prog.defs}
         env.update(inputs or {})
-        budget = [fuel]
+        budget = [fuel, fuel]
         self._session(env, prog.entry, after=self.head, cursor=None,
                       cursor_idx=0, region=None, region_end=self.tail,
                       guard=None, budget=budget)
@@ -579,7 +562,8 @@ class Runtime:
 
         cursor..region_end is the reusable remainder of the re-evaluated
         region (None for from-scratch runs); `guard` is the update position
-        enclosing new reads until the first new update point.
+        enclosing new reads until the first new update point.  budget holds
+        the steps left and the fuel they started from.
         """
         stack: list[Frame] = []
         open_regions: list[Optional[TraceNode]] = []
@@ -621,7 +605,7 @@ class Runtime:
         while True:
             budget[0] -= 1
             if budget[0] <= 0:
-                raise FuelExhausted(self.fuel)
+                raise FuelExhausted(budget[1])
 
             if vals is not None:
                 if stack:
@@ -635,16 +619,7 @@ class Runtime:
                     self.new_entries += 1
                     chains.pop()
                     chains[-1] = None  # child boundary resets the guard
-                    frame = stack.pop()
-                    fdef = frame.env.get(frame.fname)
-                    if not isinstance(fdef, A.FunDef):
-                        raise Stuck("E.8", f"unbound function {frame.fname!r}")
-                    if len(fdef.params) != len(vals):
-                        raise Stuck("E.8", f"{frame.fname!r} takes "
-                                           f"{len(fdef.params)} values")
-                    env = dict(frame.env)
-                    env.update(zip(fdef.params, vals))
-                    command = fdef.body
+                    env, command = apply_frame(stack.pop(), vals)
                     vals = None
                     self.eval_steps += 1
                     continue
@@ -689,11 +664,8 @@ class Runtime:
             if isinstance(e, A.Inst):
                 inst = e.inst
                 if isinstance(inst, A.Alloc):
-                    size = resolve(env, inst.size)
-                    if not isinstance(size, int) or size < 0:
-                        raise Stuck("S.1", f"bad allocation size {size!r}")
-                    loc = self.base.alloc(size)
-                    stream.append(TAlloc(loc, size))
+                    loc, _ = step_store(self.base, env, inst)
+                    stream.append(TAlloc(loc, self.base.sizes[loc.id]))
                     env = {**env, e.var: loc}
                 elif isinstance(inst, A.Read):
                     loc = resolve(env, inst.loc)
@@ -742,27 +714,12 @@ class Runtime:
                 vals = popped
                 self.eval_steps += 1
                 continue
-            if isinstance(e, A.FunDef):
-                env = {**env, e.fname: e}
-                command = e.cont
-            elif isinstance(e, A.PrimOp):
-                args = [resolve(env, v) for v in e.args]
-                env = {**env, e.var: apply_prim(e.op, args)}
-                command = e.cont
-            elif isinstance(e, A.If):
-                command = e.then if resolve(env, e.cond) != 0 else e.els
-                stream.append(BRANCH)
-            elif isinstance(e, A.App):
-                fdef = env.get(e.fname)
-                if not isinstance(fdef, A.FunDef):
-                    raise Stuck("E.0", f"unbound function {e.fname!r}")
-                env2 = dict(env)
-                env2.update((p, resolve(env, a))
-                            for p, a in zip(fdef.params, e.args))
-                env = env2
-                command = fdef.body
-            else:
+            step = control_step(env, e)
+            if step is None:
                 raise Stuck("E", f"no rule for command {e!r}")
+            _, env, command = step
+            if isinstance(e, A.If):
+                stream.append(BRANCH)
             self.eval_steps += 1
 
     def _current_cursor(self, cursor: TraceNode, cursor_idx: int):
@@ -805,7 +762,8 @@ class Runtime:
 
     def propagate(self, edits: list[tuple[Loc, int, MachineValue]],
                   fuel: int | None = None) -> FastResult:
-        budget = [fuel if fuel is not None else self.fuel]
+        fuel = fuel if fuel is not None else self.fuel
+        budget = [fuel, fuel]
         self.eval_steps = 0
         self.undo_steps = 0
         self.new_entries = 0
@@ -939,13 +897,5 @@ class Runtime:
         )
 
 
-def propagate_fast(runtime: Runtime,
-                   edits: list[tuple[Loc, int, MachineValue]],
-                   fuel: int | None = None) -> FastResult:
-    return runtime.propagate(edits, fuel=fuel)
-
-
-__all__ = ["OrderMaintenance", "OMHandle", "om_insert_after", "om_compare",
-           "om_delete", "UseAfterDelete", "TraceNode", "EntryHistory",
-           "pack_runs", "pack_trace_nodes", "BRANCH", "Runtime", "FastResult",
-           "propagate_fast"]
+__all__ = ["OrderMaintenance", "OMHandle", "UseAfterDelete", "TraceNode",
+           "EntryHistory", "pack_runs", "BRANCH", "Runtime", "FastResult"]

@@ -30,7 +30,8 @@ from typing import Callable, Optional
 from . import ilast as A
 from .analyses import LiveSet, live_vars
 from .errors import DEFAULT_FUEL, FuelExhausted, Stuck
-from .refmachine import Frame, Values, apply_prim, initial_env
+from .refmachine import (Frame, Values, apply_frame, control_step,
+                         initial_env)
 from .store import Loc, MachineValue, Store, UNINIT, resolve, step_store
 from .trace import (
     PUSH_MARK, PropMark, TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
@@ -65,7 +66,6 @@ class Policy:
     available match, update_chooser(is_dirty) whether to re-evaluate.
     """
 
-    memo_match_enabled: bool = True
     update_mode: str = "dirty"  # "dirty" | "always"
     memo_chooser: Optional[Callable[[bool], bool]] = None
     update_chooser: Optional[Callable[[bool], bool]] = None
@@ -208,8 +208,7 @@ class TracingMachine:
             # Matches are only taken with no evaluation frames open: a match
             # under an open frame would let the frame's rewind swallow the
             # replayed tail into its push subtrace, restructuring the trace.
-            if ((self.policy.memo_match_enabled or self.policy.memo_chooser)
-                    and not self.stack):
+            if not self.stack:
                 match = self.seek_memo(e)
             if match is not None:
                 take = (self.policy.memo_chooser(True)
@@ -269,32 +268,12 @@ class TracingMachine:
             self.command = Values(vals)
             return self._emit("E.7")
 
-        # E.0: untraced steps mirror the reference machine.
-        if isinstance(e, A.FunDef):
-            self.env = {**self.env, e.fname: e}
-            self.command = e.cont
-            return self._emit("E.0")
-        if isinstance(e, A.PrimOp):
-            args = [resolve(self.env, v) for v in e.args]
-            self.env = {**self.env, e.var: apply_prim(e.op, args)}
-            self.command = e.cont
-            return self._emit("E.0")
-        if isinstance(e, A.If):
-            self.command = e.then if resolve(self.env, e.cond) != 0 else e.els
-            return self._emit("E.0")
-        if isinstance(e, A.App):
-            fdef = self.env.get(e.fname)
-            if not isinstance(fdef, A.FunDef):
-                raise Stuck("E.0", f"unbound function {e.fname!r}")
-            if len(fdef.params) != len(e.args):
-                raise Stuck("E.0", f"{e.fname!r} takes {len(fdef.params)} args")
-            env = dict(self.env)
-            env.update((p, resolve(self.env, a))
-                       for p, a in zip(fdef.params, e.args))
-            self.env = env
-            self.command = fdef.body
-            return self._emit("E.0")
-        raise Stuck("E", f"no rule for command {e!r}")
+        # E.0: the untraced steps are the reference machine's R.1-R.5.
+        step = control_step(self.env, e)
+        if step is None:
+            raise Stuck("E", f"no rule for command {e!r}")
+        _, self.env, self.command = step
+        return self._emit("E.0")
 
     # -- value-command steps -------------------------------------------------
 
@@ -309,19 +288,9 @@ class TracingMachine:
                 kind, snap, _ = self._mark_stacks.pop()
                 assert kind == "push" and snap == tuple(self.stack), \
                     "stack parametricity violated at E.8"
-            frame = self.stack.pop()
-            fdef = frame.env.get(frame.fname)
-            if not isinstance(fdef, A.FunDef):
-                raise Stuck("E.8", f"unbound function {frame.fname!r}")
-            if len(fdef.params) != len(cmd.vals):
-                raise Stuck("E.8", f"{frame.fname!r} takes {len(fdef.params)} "
-                                   f"values, popped {len(cmd.vals)}")
-            env = dict(frame.env)
-            env.update(zip(fdef.params, cmd.vals))
+            self.env, self.command = apply_frame(self.stack.pop(), cmd.vals)
             self.ctx = (TPush(r.gathered), r.ctx)
             self.focus = r.focus
-            self.env = env
-            self.command = fdef.body
             return self._emit("E.8")
 
         # Empty stack: drain any leftover reuse trace, then rewind to a

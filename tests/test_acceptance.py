@@ -13,7 +13,7 @@ from sasm.cost import check_dps_overhead, cost_vector, max_pop_arity
 from sasm.dps import dps_convert_program, extensionally_preserved
 from sasm.fuzz import gen_edits, gen_program
 from sasm.refmachine import ref_run
-from sasm.runtime import OrderMaintenance, Runtime, om_compare, om_insert_after
+from sasm.runtime import OrderMaintenance, Runtime
 from sasm.store import Loc
 from sasm.trace import (Blocked, PUSH_MARK, PropMark, TPop, TPush, TRead,
                         TWrite, TraceZipper, UndoMark, check_okay, from_list,
@@ -267,16 +267,16 @@ def test_criterion_7_fast_engine_equivalence():
     oracle = NaiveOrder(om.origin())
     for _ in range(100_000):
         h = rng.choice(oracle)
-        new = om_insert_after(om, h)
+        new = om.insert_after(h)
         oracle.insert_after(h, new)
     for _ in range(5000):
         a, b = rng.choice(oracle), rng.choice(oracle)
         want = (oracle.index(a) > oracle.index(b)) - (
             oracle.index(a) < oracle.index(b))
-        assert om_compare(om, a, b) == want
+        assert om.compare(a, b) == want
     order = oracle.order()
     for a, b in zip(order, order[1:]):
-        assert om_compare(om, a, b) == -1
+        assert om.compare(a, b) == -1
     _report(7, f"fast engine == faithful machine on {checked} pairs "
                f"(observables, step classes, dirty sets); order maintenance "
                f"agrees with the naive oracle over 1e5 ops", t0, budget=120.0)

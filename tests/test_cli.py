@@ -5,6 +5,8 @@ import os
 import pytest
 
 from sasm.cli import main
+from sasm.errors import Stuck
+from sasm.runtime import Runtime
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -65,6 +67,20 @@ def test_check_native_array_max(capsys):
     rc = main(["check", corpus_path("array_max_b.il"), "--native",
                "--edit", "write arr 2 0"])
     assert rc == 0, capsys.readouterr().out
+
+
+def test_check_reports_a_stuck_runtime_as_fast_vs_faithful(capsys,
+                                                           monkeypatch):
+    def stuck(self, edits, fuel=None):
+        raise Stuck("R.5", "injected")
+
+    monkeypatch.setattr(Runtime, "propagate", stuck)
+    rc = main(["check", corpus_path("list_sum.il"), "--edit", "write c3 1 99"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] fast-vs-faithful: stuck at R.5: injected" in out
+    assert out.count("propagate-vs-rerun") == 1
+    assert "[ok] propagate-vs-rerun" in out
 
 
 def test_propagate_compare_rerun_and_verify(capsys):

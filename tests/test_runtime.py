@@ -9,12 +9,16 @@ from sasm.corpus import (Edit, apply_edits, exptrees_fixture,
                          gen_array_max, gen_list)
 from sasm.cost import cost_vector
 from sasm.dps import dps_convert_program
+from sasm.errors import FuelExhausted, Stuck
 from sasm.fuzz import gen_edits, gen_program
+from sasm.parser import parse_program
+from sasm.refmachine import ref_run
 from sasm.runtime import (BRANCH, OrderMaintenance, Runtime, UseAfterDelete,
-                          om_compare, om_delete, om_insert_after, pack_runs)
-from sasm.store import Loc
+                          pack_runs)
+from sasm.store import Loc, Store
 from sasm.trace import TMemo, TRead, TUpdate, TWrite
 from sasm.tracing import canonicalize, propagation_machine, run_from_scratch
+from sasm.wf import check_wf
 
 from om_oracle import NaiveOrder, Tail
 
@@ -22,36 +26,36 @@ from om_oracle import NaiveOrder, Tail
 def test_om_insert_after_orders():
     om = OrderMaintenance()
     a = om.origin()
-    b = om_insert_after(om, a)
-    assert om_compare(om, a, b) == -1
-    assert om_compare(om, b, a) == 1
-    assert om_compare(om, a, a) == 0
+    b = om.insert_after(a)
+    assert om.compare(a, b) == -1
+    assert om.compare(b, a) == 1
+    assert om.compare(a, a) == 0
 
 
 def test_om_chain_inserts_at_same_point_reverse_order():
     om = OrderMaintenance()
     a = om.origin()
-    handles = [om_insert_after(om, a) for _ in range(100_000)]
+    handles = [om.insert_after(a) for _ in range(100_000)]
     # Inserting repeatedly after the same handle stacks in reverse order.
     positions = list(reversed(handles))
     rng = random.Random(1)
     for _ in range(2000):
         i, j = rng.randrange(len(positions)), rng.randrange(len(positions))
         want = (i > j) - (i < j)
-        assert om_compare(om, positions[i], positions[j]) == want
+        assert om.compare(positions[i], positions[j]) == want
 
 
 def test_om_delete_then_compare_raises():
     om = OrderMaintenance()
     a = om.origin()
-    b = om_insert_after(om, a)
-    om_delete(om, b)
+    b = om.insert_after(a)
+    om.delete(b)
     with pytest.raises(UseAfterDelete):
-        om_compare(om, a, b)
+        om.compare(a, b)
     with pytest.raises(UseAfterDelete):
-        om_insert_after(om, b)
+        om.insert_after(b)
     with pytest.raises(UseAfterDelete):
-        om_delete(om, b)
+        om.delete(b)
 
 
 def test_om_randomized_against_naive_list_oracle():
@@ -63,21 +67,21 @@ def test_om_randomized_against_naive_list_oracle():
         op = rng.random()
         if op < 0.8 or len(oracle) < 3:
             h = rng.choice(oracle)
-            new = om_insert_after(om, h)
+            new = om.insert_after(h)
             oracle.insert_after(h, new)
             handles.append(new)
         else:
             victim = rng.choice(Tail(oracle))
-            om_delete(om, victim)
+            om.delete(victim)
             oracle.remove(victim)
     for _ in range(5000):
         a, b = rng.choice(oracle), rng.choice(oracle)
         want = (oracle.index(a) > oracle.index(b)) - (
             oracle.index(a) < oracle.index(b))
-        assert om_compare(om, a, b) == want
+        assert om.compare(a, b) == want
     order = oracle.order()
     for a, b in zip(order, order[1:]):
-        assert om_compare(om, a, b) == -1
+        assert om.compare(a, b) == -1
 
 
 def test_naive_order_matches_a_plain_list():
@@ -280,9 +284,23 @@ def test_trace_node_sharing_reduces_node_count():
     assert actions > nodes  # runs actually share nodes
 
 
-def test_pack_trace_nodes_wraps_runs():
-    from sasm.runtime import pack_trace_nodes
-    m = TMemo(1, (), None)
-    nodes = pack_trace_nodes([TRead(1, L, 1), m, TRead(2, L, 2)])
-    assert [n.kind for n in nodes] == ["run", "run"]
-    assert nodes[1].actions[0] is m
+def test_arity_mismatch_is_stuck_on_every_engine():
+    # check_wf does not compare call arity with the definition, so the
+    # mismatch surfaces at run time, and every engine must get stuck on it.
+    p = parse_program("let fun f(x, y) =\n  pop(x)\nf(1)\narity 1")
+    assert check_wf(p) == []
+    with pytest.raises(Stuck):
+        ref_run(p, Store())
+    with pytest.raises(Stuck):
+        run_from_scratch(p, Store())
+    with pytest.raises(Stuck):
+        Runtime(p, Store())
+
+
+def test_propagate_reports_the_fuel_it_was_given():
+    bench = gen_array_max(64, "b")
+    store, labels, inputs = bench.build()
+    rt = Runtime(bench.program, store, inputs=inputs)
+    with pytest.raises(FuelExhausted) as exc:
+        rt.propagate([(labels["arr"], 1, 999)], fuel=3)
+    assert exc.value.fuel == 3
