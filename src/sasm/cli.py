@@ -164,8 +164,8 @@ def cmd_propagate(args) -> int:
             apply_edits(s2, lp.labels, edits)
             m = propagation_machine(lp.program, t1.trace, s2)
             t2 = m.run(fuel)
-            realized = sum(1 for x in t2.log if x[0] in "EU")
-            results[engine] = (t2.values, t2.store, t2.trace, realized)
+            results[engine] = (t2.values, t2.store, t2.trace,
+                               cost_vector(t2.log).realized)
     vals, store, trace, realized = results[engines[0]]
     print(fmt_vals(vals), f"realized={realized}")
     if args.verify:
@@ -280,7 +280,7 @@ def cmd_bench(args) -> int:
         else:
             m = propagation_machine(bench.program, scratch.trace, s2)
             t2 = m.run(fuel)
-            realized_total += sum(1 for x in t2.log if x[0] in "EU")
+            realized_total += cost_vector(t2.log).realized
             matches_total += t2.log.count("E.P")
     avg = realized_total / max(1, args.edits)
     row = (f"bench={args.name} n={args.n} engine={args.engine} "

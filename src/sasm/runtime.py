@@ -24,15 +24,18 @@ re-evaluated update points over the corpus and fuzzed edit batches.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Optional
 
 from . import ilast as A
 from .analyses import LiveSet, live_vars
-from .errors import DEFAULT_FUEL, FuelExhausted, Stuck
-from .refmachine import Frame, apply_frame, control_step
-from .store import Loc, MachineValue, Store, UNINIT, resolve, step_store
-from .tracing import saved_env
+from .errors import (DEFAULT_FUEL, FuelExhausted, Stuck, StuckRead,
+                     StuckWrite)
+from .refmachine import (Frame, Values, apply_frame, control_step,
+                         initial_env)
+from .store import Loc, MachineValue, Store, UNINIT
+from .tracing import saved_env, traced_step
 from .trace import (TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
                     Trace, from_list)
 
@@ -210,31 +213,27 @@ class TraceNode:
 # -- per-entry histories -----------------------------------------------------------
 
 
+def _by_time(om: OrderMaintenance):
+    """The sort key of an entry-history event: its node's timestamp, then
+    its index in the node."""
+    return lambda ev: (*om.key(ev[0].ts), ev[1])
+
+
 class EntryHistory:
     """All reads and writes of one store entry across the retained trace,
     ordered by timestamp; the value at a time is the latest write at or
-    before it, falling back to the base store."""
+    before it, falling back to the base store.
+
+    Relabeling keeps timestamp order, so the events stay sorted by their
+    current keys and lookups bisect on them."""
 
     __slots__ = ("events",)
 
     def __init__(self):
         self.events: list[list] = []  # [node, idx, kind, value]
 
-    @staticmethod
-    def _key(om: OrderMaintenance, node: TraceNode, idx: int):
-        return (*om.key(node.ts), idx)
-
     def insert(self, om, node, idx, kind, value) -> None:
-        key = self._key(om, node, idx)
-        lo, hi = 0, len(self.events)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            ev = self.events[mid]
-            if self._key(om, ev[0], ev[1]) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.events.insert(lo, [node, idx, kind, value])
+        insort(self.events, [node, idx, kind, value], key=_by_time(om))
 
     def remove(self, node, idx) -> bool:
         for k, ev in enumerate(self.events):
@@ -250,15 +249,14 @@ class EntryHistory:
                 return
 
     def value_at(self, om, key, base_value):
-        best = None
-        for node, idx, kind, value in self.events:
-            if kind != "W":
-                continue
-            if self._key(om, node, idx) < key:
-                best = value
-            else:
-                break
-        return base_value if best is None else best
+        """The latest write before `key`, else base_value."""
+        k = bisect_left(self.events, key, key=_by_time(om))
+        while k:
+            k -= 1
+            ev = self.events[k]
+            if ev[2] == "W":
+                return ev[3]
+        return base_value
 
     def last_write(self, base_value):
         for node, idx, kind, value in reversed(self.events):
@@ -266,25 +264,56 @@ class EntryHistory:
                 return value
         return base_value
 
-    def readers_in(self, om, lo_key, hi_key):
-        """Read events with lo_key < key < hi_key (None = unbounded)."""
+    def readers_after(self, om, key) -> list:
+        """(node, idx, value) of the reads after `key`, up to the entry's
+        next write."""
+        events = self.events
+        k = bisect_right(events, key, key=_by_time(om))
         out = []
-        for node, idx, kind, value in self.events:
-            if kind != "R":
-                continue
-            key = self._key(om, node, idx)
-            if key <= lo_key:
-                continue
-            if hi_key is not None and key >= hi_key:
-                break
+        while k < len(events) and events[k][2] == "R":
+            node, idx, _, value = events[k]
             out.append((node, idx, value))
+            k += 1
         return out
 
-    def next_write_key(self, om, after_key):
-        for node, idx, kind, _ in self.events:
-            if kind == "W" and self._key(om, node, idx) > after_key:
-                return self._key(om, node, idx)
-        return None
+
+# -- the store seen by an evaluation session ------------------------------------
+
+
+class _SessionStore:
+    """The store as one evaluation session sees it, for `traced_step`.
+
+    Allocation goes to the input store.  A read sees the session's writes
+    not yet flushed into trace nodes, then the entry's history just after
+    `at`, the last node the session spliced in.  A write is range-checked
+    and held until the next flush records it in the history.
+    """
+
+    __slots__ = ("rt", "at", "pending")
+
+    def __init__(self, rt: "Runtime", at: TraceNode):
+        self.rt = rt
+        self.at = at
+        self.pending: dict[tuple[int, int], MachineValue] = {}
+
+    def alloc(self, size, loc_id=None) -> Loc:
+        return self.rt.base.alloc(size, loc_id)
+
+    def read(self, loc, off) -> MachineValue:
+        v = self.pending.get((loc.id, off)) if isinstance(loc, Loc) else None
+        if v is None:
+            # Index 1 << 40 places the key after every action of `at`.
+            v = self.rt._value_now(loc, off,
+                                   (*self.rt.om.key(self.at.ts), 1 << 40))
+        if v is None or v is UNINIT:
+            raise StuckRead(f"read of {loc!r}[{off!r}] unavailable")
+        return v
+
+    def write(self, loc, off, val) -> int:
+        if not isinstance(loc, Loc) or self.rt.base.peek(loc, off) is None:
+            raise StuckWrite(f"write of {loc!r}[{off!r}] out of range")
+        self.pending[(loc.id, off)] = val
+        return 0
 
 
 # -- results -------------------------------------------------------------------------
@@ -336,11 +365,9 @@ class Runtime:
         self.matches = 0
         self.reevaluated: list[int] = []
         self.skipped = 0
-        env = {d.fname: d for d in prog.defs}
-        env.update(inputs or {})
         budget = [fuel, fuel]
-        self._session(env, prog.entry, after=self.head, cursor=None,
-                      cursor_idx=0, region=None, region_end=self.tail,
+        self._session(initial_env(prog, inputs), prog.entry, after=self.head,
+                      cursor=None, cursor_idx=0, region=None, region_end=self.tail,
                       guard=None, budget=budget)
 
     # -- linked-list and indexing helpers --------------------------------------
@@ -413,36 +440,30 @@ class Runtime:
             raise KeyError(f"unknown entry {loc!r}[{off}]")
         self.base.write(loc, off, value)
         h = self.histories.get((loc.id, off))
+        return set() if h is None else self._invalidate(h, MINKEY, value)
+
+    def _invalidate(self, h: EntryHistory, key, value) -> set:
+        """Enqueue the reads after `key`, up to the entry's next write,
+        whose recorded value differs from `value`; returns the enqueued
+        update positions."""
         out = set()
-        if h is None:
-            return out
-        first_w = h.next_write_key(self.om, MINKEY)
-        for node, idx, recorded in h.readers_in(self.om, MINKEY, first_w):
+        for node, idx, recorded in h.readers_after(self.om, key):
             if recorded != value:
                 out.update(self._enqueue_reader(node, idx))
         return out
 
     def _commit_write(self, node: TraceNode, idx: int, a: TWrite) -> None:
-        """Insert a write event and enqueue the readers it breaks (those
-        between it and the next write whose recorded value now differs)."""
+        """Insert a write event and enqueue the readers it breaks."""
         h = self._hist(a.loc.id, a.off)
-        key = self._pos_key(node, idx)
-        nxt = h.next_write_key(self.om, key)
-        for rn, ri, recorded in h.readers_in(self.om, key, nxt):
-            if recorded != a.val:
-                self._enqueue_reader(rn, ri)
+        self._invalidate(h, self._pos_key(node, idx), a.val)
         h.insert(self.om, node, idx, "W", a.val)
 
     def _remove_write(self, node: TraceNode, idx: int, a: TWrite) -> None:
         h = self._hist(a.loc.id, a.off)
         key = self._pos_key(node, idx)
         h.remove(node, idx)
-        nxt = h.next_write_key(self.om, key)
-        base_val = self.base.peek(a.loc, a.off)
-        now = h.value_at(self.om, key, base_val)
-        for rn, ri, recorded in h.readers_in(self.om, key, nxt):
-            if recorded != now:
-                self._enqueue_reader(rn, ri)
+        self._invalidate(h, key, h.value_at(self.om, key,
+                                            self.base.peek(a.loc, a.off)))
 
     # -- retirement (the undo steps) ------------------------------------------------
 
@@ -454,15 +475,16 @@ class Runtime:
             # of its entries re-evaluate (and get honestly stuck).
             for off in range(1, a.size + 1):
                 h = self.histories.pop((a.loc.id, off), None)
-                removals = 1 if h is not None else 0
+                self.entry_removals[(a.loc.id, off)] = int(h is not None)
                 if h is not None:
-                    for rn, ri, _ in h.readers_in(self.om, MINKEY, None):
-                        if not rn.retired:
+                    for rn, ri, kind, _ in h.events:
+                        if kind == "R" and not rn.retired:
                             self._enqueue_reader(rn, ri)
-                self.entry_removals[(a.loc.id, off)] = removals
             self.base.mark_garbage(a.loc)
         elif isinstance(a, TRead):
-            self._hist(a.loc.id, a.off).remove(node, idx)
+            h = self.histories.get((a.loc.id, a.off))
+            if h is not None:
+                h.remove(node, idx)
             self.enclosing.pop((id(node), idx), None)
         elif isinstance(a, TWrite):
             if (a.loc.id, a.off) in self.histories:
@@ -507,8 +529,7 @@ class Runtime:
                     region: Optional[TraceNode], region_end: TraceNode):
         if cursor is None:
             return None
-        var_items, _ = saved_env(env, self.live.at(memo.eid),
-                                 self.live.fn_names)
+        var_items, _ = self._saved(env, memo.eid)
         cands = self.memo_index.get((memo.eid, var_items))
         if not cands:
             return None
@@ -522,6 +543,9 @@ class Runtime:
             if lo <= key < hi and (best is None or key < best[0]):
                 best = (key, node)
         return best[1] if best else None
+
+    def _saved(self, env: dict, eid: int):
+        return saved_env(env, self.live.at(eid), self.live.fn_names)
 
     # -- window check (shared definition with the faithful policy) -----------------
 
@@ -537,14 +561,7 @@ class Runtime:
                 if isinstance(a, (TUpdate, TPop)):
                     return False
                 if isinstance(a, TRead):
-                    key = self._pos_key(n, i)
-                    base_val = self.base.peek(a.loc, a.off)
-                    h = self.histories.get((a.loc.id, a.off))
-                    if a.loc.id in self.base.garbage or (
-                            h is None and base_val is None):
-                        return True
-                    cur = (h.value_at(self.om, key, base_val)
-                           if h is not None else base_val)
+                    cur = self._value_now(a.loc, a.off, self._pos_key(n, i))
                     if cur is None or cur is UNINIT or cur != a.val:
                         return True
                 i += 1
@@ -570,22 +587,19 @@ class Runtime:
         # Guard chains: one per open region; top applies to new reads.
         chains: list[Optional[tuple[TraceNode, int]]] = [guard]
         stream: list = []
-        # Writes not yet flushed into nodes, visible to this session's reads.
-        pending: dict[tuple[int, int], MachineValue] = {}
-        at = after
+        view = _SessionStore(self, after)
         command: object = expr
-        vals: tuple | None = None
 
         def flush() -> TraceNode:
-            nonlocal at, stream
-            pending.clear()
+            nonlocal stream
+            view.pending.clear()
             if not stream:
-                return at
+                return view.at
             current_region = open_regions[-1] if open_regions else region
             for run in pack_runs(stream):
                 node = TraceNode("run", run)
                 node.region = current_region
-                at = self._link_after(node, at)
+                view.at = self._link_after(node, view.at)
                 self.new_entries += len(run)
                 for idx, a in enumerate(run):
                     if isinstance(a, TUpdate):
@@ -600,14 +614,22 @@ class Runtime:
                         self.memo_index.setdefault(
                             (a.eid, a.env), []).append(node)
             stream = []
-            return at
+            return view.at
 
         while True:
             budget[0] -= 1
             if budget[0] <= 0:
                 raise FuelExhausted(budget[1])
 
-            if vals is not None:
+            e = command
+            step = control_step(env, e)
+            if step is not None:
+                _, env, command = step
+                if isinstance(e, A.If):
+                    stream.append(BRANCH)
+                self.eval_steps += 1
+                continue
+            if isinstance(e, Values):
                 if stack:
                     # E.8: close the innermost region, apply the frame.
                     flush()
@@ -615,12 +637,11 @@ class Runtime:
                     endn = TraceNode("end")
                     endn.partner, begin.partner = begin, endn
                     endn.region = begin.region
-                    at = self._link_after(endn, at)
+                    view.at = self._link_after(endn, view.at)
                     self.new_entries += 1
                     chains.pop()
                     chains[-1] = None  # child boundary resets the guard
-                    env, command = apply_frame(stack.pop(), vals)
-                    vals = None
+                    env, command = apply_frame(stack.pop(), e.vals)
                     self.eval_steps += 1
                     continue
                 # Session region pop: drain the leftover interval, discard
@@ -630,15 +651,10 @@ class Runtime:
                     self._retire_interval(cursor, cursor_idx, region_end)
                 self._repair_tail_guards(last, chains[-1])
                 return
-
-            e = command
-            if isinstance(e, A.Memo):
-                m = None
-                if not stack and cursor is not None:
-                    cur_node, cur_idx = self._current_cursor(cursor,
-                                                             cursor_idx)
-                    m = self._find_match(e, env, cur_node, cur_idx, region,
-                                         region_end)
+            if isinstance(e, A.Memo) and not stack and cursor is not None:
+                cur_node, cur_idx = self._current_cursor(cursor, cursor_idx)
+                m = self._find_match(e, env, cur_node, cur_idx, region,
+                                     region_end)
                 if m is not None:
                     self.matches += 1
                     self.eval_steps += 1  # E.P
@@ -648,58 +664,11 @@ class Runtime:
                     self._retire_interval(cur_node, cur_idx, m)
                     self._repair_tail_guards(last, chains[-1])
                     return
-                var_items, fnames = saved_env(env, self.live.at(e.eid),
-                                              self.live.fn_names)
-                stream.append(TMemo(e.eid, var_items, e.body, fnames))
-                command = e.body
-                self.eval_steps += 1
-                continue
-            if isinstance(e, A.Update):
-                var_items, fnames = saved_env(env, self.live.at(e.eid),
-                                              self.live.fn_names)
-                stream.append(TUpdate(e.eid, var_items, e.body, fnames))
-                command = e.body
-                self.eval_steps += 1
-                continue
-            if isinstance(e, A.Inst):
-                inst = e.inst
-                if isinstance(inst, A.Alloc):
-                    loc, _ = step_store(self.base, env, inst)
-                    stream.append(TAlloc(loc, self.base.sizes[loc.id]))
-                    env = {**env, e.var: loc}
-                elif isinstance(inst, A.Read):
-                    loc = resolve(env, inst.loc)
-                    off = resolve(env, inst.off)
-                    if isinstance(loc, Loc) and (loc.id, off) in pending:
-                        v = pending[(loc.id, off)]
-                    else:
-                        key = (*self.om.key(at.ts), 1 << 40)
-                        v = self._value_now(loc, off, key)
-                    if v is None or v is UNINIT:
-                        raise Stuck("S.2", f"read of {loc!r}[{off!r}] "
-                                           f"unavailable")
-                    stream.append(TRead(v, loc, off))
-                    env = {**env, e.var: v}
-                else:
-                    assert isinstance(inst, A.Write)
-                    loc = resolve(env, inst.loc)
-                    off = resolve(env, inst.off)
-                    val = resolve(env, inst.val)
-                    if not isinstance(loc, Loc) or (
-                            self.base.peek(loc, off) is None):
-                        raise Stuck("S.3", f"write of {loc!r}[{off!r}] "
-                                           f"out of range")
-                    stream.append(TWrite(val, loc, off))
-                    pending[(loc.id, off)] = val
-                    env = {**env, e.var: 0}
-                command = e.cont
-                self.eval_steps += 1
-                continue
             if isinstance(e, A.Push):
                 flush()
                 begin = TraceNode("begin")
                 begin.region = open_regions[-1] if open_regions else region
-                at = self._link_after(begin, at)
+                view.at = self._link_after(begin, view.at)
                 self.new_entries += 1
                 open_regions.append(begin)
                 chains.append(None)
@@ -707,19 +676,11 @@ class Runtime:
                 command = e.body
                 self.eval_steps += 1
                 continue
-            if isinstance(e, A.Pop):
-                popped = tuple(resolve(env, v) for v in e.vals)
-                stream.append(TPop(popped))
-                env = {}
-                vals = popped
-                self.eval_steps += 1
-                continue
-            step = control_step(env, e)
+            step = traced_step(view, env, e, self._saved)
             if step is None:
                 raise Stuck("E", f"no rule for command {e!r}")
-            _, env, command = step
-            if isinstance(e, A.If):
-                stream.append(BRANCH)
+            _, action, env, command = step
+            stream.append(action)
             self.eval_steps += 1
 
     def _current_cursor(self, cursor: TraceNode, cursor_idx: int):
@@ -796,9 +757,8 @@ class Runtime:
             h = self.histories.get((loc.id, off))
             if h is None:
                 continue
-            first_w = h.next_write_key(self.om, MINKEY)
             base_val = self.base.peek(loc, off)
-            for rn, ri, recorded in h.readers_in(self.om, MINKEY, first_w):
+            for rn, ri, recorded in h.readers_after(self.om, MINKEY):
                 if not rn.retired and recorded != base_val:
                     raise Stuck("P.2", f"read of {loc!r}[{off}] sees "
                                        f"{base_val!r}, trace recorded "

@@ -96,6 +96,40 @@ def saved_env(env: dict, live: frozenset[str], fn_names: frozenset[str]):
     return var_items, fnames
 
 
+def traced_step(store, env: dict, e, saved):
+    """Rules E.1-E.5 and E.7, the steps that record one trace action.
+
+    Returns (rule tag, action, env, command) for an Inst, Memo, Update or
+    Pop, and None for any other command.  Instructions go through S.1-S.3 on
+    `store`, which needs only alloc, read and write; `saved(env, eid)` gives
+    a memo or update point's saved variables and function names.  Memo
+    matching and Push stay with the engine.
+    """
+    if isinstance(e, A.Inst):  # E.1-E.3
+        inst = e.inst
+        v, _ = step_store(store, env, inst)
+        if isinstance(inst, A.Alloc):
+            tag, action = "E.1", TAlloc(v, resolve(env, inst.size))
+        elif isinstance(inst, A.Read):
+            tag, action = "E.2", TRead(v, resolve(env, inst.loc),
+                                       resolve(env, inst.off))
+        else:
+            tag, action = "E.3", TWrite(resolve(env, inst.val),
+                                        resolve(env, inst.loc),
+                                        resolve(env, inst.off))
+        return tag, action, {**env, e.var: v}, e.cont
+    if isinstance(e, A.Memo):  # E.4
+        var_items, fnames = saved(env, e.eid)
+        return "E.4", TMemo(e.eid, var_items, e.body, fnames), env, e.body
+    if isinstance(e, A.Update):  # E.5
+        var_items, fnames = saved(env, e.eid)
+        return "E.5", TUpdate(e.eid, var_items, e.body, fnames), env, e.body
+    if isinstance(e, A.Pop):  # E.7
+        vals = tuple(resolve(env, v) for v in e.vals)
+        return "E.7", TPop(vals), {}, Values(vals)
+    return None
+
+
 class TracingMachine:
     def __init__(self, store: Store, env: dict, command,
                  reuse: Trace = None, *,
@@ -139,11 +173,10 @@ class TracingMachine:
                 self.segments[-1]["done"] = True
         return tag
 
-    def _restricted(self, eid: int):
+    def _saved(self, env: dict, eid: int):
         if self.policy.full_env:
-            return saved_env(self.env, frozenset(self.env),
-                             self.live.fn_names)
-        return saved_env(self.env, self.live.at(eid), self.live.fn_names)
+            return saved_env(env, frozenset(env), self.live.fn_names)
+        return saved_env(env, self.live.at(eid), self.live.fn_names)
 
     def zipper(self) -> TraceZipper:
         return TraceZipper(self.ctx, self.focus)
@@ -154,7 +187,7 @@ class TracingMachine:
         """Scan the focused reuse trace (top level, monotone forward) for a
         matching memo action.  Returns the match key or None; performs no
         undo steps itself."""
-        var_items, _ = self._restricted(memo.eid)
+        var_items, _ = self._saved(self.env, memo.eid)
         t = self.focus
         while t is not None:
             a, t = t
@@ -217,41 +250,12 @@ class TracingMachine:
                 self._seek_target = match
                 self._seek_depth = 0
                 return self._eval_step(e)
-            var_items, fnames = self._restricted(e.eid)
-            self.ctx = (TMemo(e.eid, var_items, e.body, fnames), self.ctx)
-            self.command = e.body
-            return self._emit("E.4")
 
-        if isinstance(e, A.Update):
-            var_items, fnames = self._restricted(e.eid)
-            self.ctx = (TUpdate(e.eid, var_items, e.body, fnames), self.ctx)
-            self.command = e.body
-            return self._emit("E.5")
-
-        if isinstance(e, A.Inst):
-            inst = e.inst
-            if isinstance(inst, A.Alloc):
-                size = resolve(self.env, inst.size)
-                v, _ = step_store(self.store, self.env, inst)
-                self.ctx = (TAlloc(v, size), self.ctx)
-                self.env = {**self.env, e.var: v}
-                self.command = e.cont
-                return self._emit("E.1")
-            if isinstance(inst, A.Read):
-                v, _ = step_store(self.store, self.env, inst)
-                self.ctx = (TRead(v, resolve(self.env, inst.loc),
-                                  resolve(self.env, inst.off)), self.ctx)
-                self.env = {**self.env, e.var: v}
-                self.command = e.cont
-                return self._emit("E.2")
-            assert isinstance(inst, A.Write)
-            step_store(self.store, self.env, inst)
-            self.ctx = (TWrite(resolve(self.env, inst.val),
-                               resolve(self.env, inst.loc),
-                               resolve(self.env, inst.off)), self.ctx)
-            self.env = {**self.env, e.var: 0}
-            self.command = e.cont
-            return self._emit("E.3")
+        # E.0: the untraced steps are the reference machine's R.1-R.5.
+        step = control_step(self.env, e)
+        if step is not None:
+            _, self.env, self.command = step
+            return self._emit("E.0")
 
         if isinstance(e, A.Push):
             self.ctx = (PUSH_MARK, self.ctx)
@@ -261,19 +265,12 @@ class TracingMachine:
             self.command = e.body
             return self._emit("E.6")
 
-        if isinstance(e, A.Pop):
-            vals = tuple(resolve(self.env, v) for v in e.vals)
-            self.ctx = (TPop(vals), self.ctx)
-            self.env = {}
-            self.command = Values(vals)
-            return self._emit("E.7")
-
-        # E.0: the untraced steps are the reference machine's R.1-R.5.
-        step = control_step(self.env, e)
+        step = traced_step(self.store, self.env, e, self._saved)
         if step is None:
             raise Stuck("E", f"no rule for command {e!r}")
-        _, self.env, self.command = step
-        return self._emit("E.0")
+        tag, action, self.env, self.command = step
+        self.ctx = (action, self.ctx)
+        return self._emit(tag)
 
     # -- value-command steps -------------------------------------------------
 
@@ -673,6 +670,6 @@ __all__ = [
     "PROP", "TERMINATED", "Policy", "DEFAULT_POLICY", "BalancedResult",
     "TracingMachine", "run_from_scratch", "propagate", "non_garbage",
     "check_garbage_unreachable", "canonicalize", "canonical_result",
-    "enumerate_schedules", "BoundExceeded", "saved_env",
+    "enumerate_schedules", "BoundExceeded", "saved_env", "traced_step",
     "EVAL_TAGS", "PROP_TAGS", "UNDO_TAGS",
 ]

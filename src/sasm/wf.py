@@ -167,6 +167,8 @@ def check_wf(prog: A.Program) -> list[Diagnostic]:
 
     # Lexical scoping: vars and function names live in separate namespaces.
     toplevel = frozenset(d.fname for d in prog.defs)
+    # Names are globally distinct, so a name resolves to one definition.
+    fun_index = prog.fun_index()
 
     def use_var(v: A.Value, vars_: frozenset[str], node) -> None:
         if isinstance(v, str) and v not in vars_:
@@ -208,6 +210,13 @@ def check_wf(prog: A.Program) -> list[Diagnostic]:
                     e = e.then
                 elif isinstance(e, A.App):
                     use_fun(e.fname, funs, e)
+                    takes = (len(fun_index[e.fname].params)
+                             if e.fname in funs else len(e.args))
+                    if takes != len(e.args):
+                        l, c = _pos(e)
+                        diags.append(Diagnostic(
+                            f"call of {e.fname!r} passes {len(e.args)} "
+                            f"args, it takes {takes}", l, c))
                     for a in e.args:
                         use_var(a, vars_, e)
                     break

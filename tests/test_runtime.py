@@ -9,12 +9,12 @@ from sasm.corpus import (Edit, apply_edits, exptrees_fixture,
                          gen_array_max, gen_list)
 from sasm.cost import cost_vector
 from sasm.dps import dps_convert_program
-from sasm.errors import FuelExhausted, Stuck
+from sasm.errors import FuelExhausted, Stuck, StuckRead, StuckWrite
 from sasm.fuzz import gen_edits, gen_program
 from sasm.parser import parse_program
 from sasm.refmachine import ref_run
-from sasm.runtime import (BRANCH, OrderMaintenance, Runtime, UseAfterDelete,
-                          pack_runs)
+from sasm.runtime import (BRANCH, EntryHistory, OrderMaintenance, Runtime,
+                          TraceNode, UseAfterDelete, pack_runs)
 from sasm.store import Loc, Store
 from sasm.trace import TMemo, TRead, TUpdate, TWrite
 from sasm.tracing import canonicalize, propagation_machine, run_from_scratch
@@ -110,6 +110,69 @@ def test_naive_order_matches_a_plain_list():
         tail = Tail(order)
         assert [tail[k] for k in range(len(tail))] == plain[1:]
     assert most_chunks > 10 and dropped > 10
+
+
+def test_entry_history_against_a_sorted_list_oracle():
+    # Nodes are inserted often right after the first few, so sub-labels run
+    # out and groups overflow: the events are looked up across relabels.
+    rng = random.Random(3)
+    om = OrderMaintenance()
+    head = TraceNode("head")
+    head.ts = om.origin()
+    order = [head]  # the true node order, as a plain list
+    rank = {head: 0}
+    h = EntryHistory()
+    events = []  # the oracle: (node, idx, kind, value) in any order
+
+    def pos(node, idx):
+        return (rank[node], idx)
+
+    def key(node, idx):
+        return (*om.key(node.ts), idx)
+
+    for _ in range(1200):
+        r = rng.random()
+        if r < 0.4 or len(order) < 2:
+            after = rng.choice(order[:3] if rng.random() < 0.5 else order)
+            node = TraceNode("run")
+            node.ts = om.insert_after(after.ts)
+            order.insert(order.index(after) + 1, node)
+            rank = {n: k for k, n in enumerate(order)}
+        elif r < 0.85 or not events:
+            node, idx = rng.choice(order[1:]), rng.randrange(4)
+            if any(ev[0] is node and ev[1] == idx for ev in events):
+                continue
+            ev = (node, idx, rng.choice("RW"), rng.randrange(5))
+            h.insert(om, *ev)
+            events.append(ev)
+        else:
+            node, idx, _, _ = events.pop(rng.randrange(len(events)))
+            assert h.remove(node, idx)
+        want = sorted(events, key=lambda ev: pos(ev[0], ev[1]))
+        assert [tuple(ev) for ev in h.events] == want
+        writes = [ev[3] for ev in want if ev[2] == "W"]
+        assert h.last_write("base") == (writes[-1] if writes else "base")
+        probes = [(head, -1)] + [(n, i) for n in rng.sample(order, 2)
+                                 for i in (-1, 0, 4)]
+        probes += [ev[:2] for ev in rng.sample(events, min(3, len(events)))]
+        for node, idx in probes:
+            p = pos(node, idx)
+            writes = [ev[3] for ev in want
+                      if ev[2] == "W" and pos(ev[0], ev[1]) < p]
+            assert h.value_at(om, key(node, idx), "base") == (
+                writes[-1] if writes else "base")
+            readers = []
+            for ev in want:
+                if pos(ev[0], ev[1]) <= p:
+                    continue
+                if ev[2] == "W":
+                    break
+                readers.append((ev[0], ev[1], ev[3]))
+            assert h.readers_after(om, key(node, idx)) == readers
+    groups, g = 0, om._first_group
+    while g is not None:
+        groups, g = groups + 1, g.next
+    assert groups > 3 and om.relabels > groups
 
 
 L = Loc(9)
@@ -263,10 +326,19 @@ def test_garbage_retirement_bounded_removals():
     bench = exptrees_fixture()
     prog = dps_convert_program(bench.program)
     store, labels, inputs = bench.build()
+    edits = bench.fixture_edits["lower"]
     rt = Runtime(prog, store.copy(), inputs=inputs)
-    rt.propagate(_resolved(bench.fixture_edits["lower"], labels))
+    fast = rt.propagate(_resolved(edits, labels))
     assert rt.entry_removals  # allocations were retired
     assert all(n <= 2 for n in rt.entry_removals.values())
+    # No entry of a retired location keeps a history.
+    assert not {lid for lid, _ in rt.histories} & rt.base.garbage
+    t1 = run_from_scratch(prog, store.copy(), inputs=inputs)
+    s2 = store.copy()
+    apply_edits(s2, labels, edits)
+    t2 = propagation_machine(prog, t1.trace, s2.copy()).run()
+    assert canonicalize(t2.values, t2.trace, t2.store, s2) == \
+        canonicalize(fast.values, fast.trace, fast.store, s2)
 
 
 def test_trace_node_sharing_reduces_node_count():
@@ -285,16 +357,31 @@ def test_trace_node_sharing_reduces_node_count():
 
 
 def test_arity_mismatch_is_stuck_on_every_engine():
-    # check_wf does not compare call arity with the definition, so the
-    # mismatch surfaces at run time, and every engine must get stuck on it.
+    # check_wf reports the mismatch; an engine run without it must still
+    # get stuck.
     p = parse_program("let fun f(x, y) =\n  pop(x)\nf(1)\narity 1")
-    assert check_wf(p) == []
+    diags = check_wf(p)
+    assert len(diags) == 1 and "'f'" in diags[0].message
     with pytest.raises(Stuck):
         ref_run(p, Store())
     with pytest.raises(Stuck):
         run_from_scratch(p, Store())
     with pytest.raises(Stuck):
         Runtime(p, Store())
+
+
+def test_store_faults_raise_the_same_error_on_every_engine():
+    read = parse_program(
+        "let x = alloc(1) in let y = read(x, 1) in pop(y)\narity 1")
+    write = parse_program(
+        "let x = alloc(1) in let y = write(x, 2, 5) in pop(y)\narity 1")
+    for prog, error in ((read, StuckRead), (write, StuckWrite)):
+        with pytest.raises(error):
+            ref_run(prog, Store())
+        with pytest.raises(error):
+            run_from_scratch(prog, Store())
+        with pytest.raises(error):
+            Runtime(prog, Store())
 
 
 def test_propagate_reports_the_fuel_it_was_given():
