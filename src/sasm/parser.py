@@ -178,19 +178,6 @@ class _Parser:
         self.expect(")")
         return tuple(vals)
 
-    def ident_list(self, env: dict[str, str]) -> tuple[str, ...]:
-        self.expect("(")
-        names: list[str] = []
-        if self.peek().kind != ")":
-            while True:
-                t = self.expect("ident", "identifier")
-                names.append(self.use(t, env))
-                if self.peek().kind != ",":
-                    break
-                self.next()
-        self.expect(")")
-        return tuple(names)
-
     # -- expressions ---------------------------------------------------
 
     def expr(self, env: dict[str, str]) -> Expr:

@@ -11,6 +11,10 @@ memo hit ends the re-run and keeps the matched tail in place.  Retained
 actions are never replayed, so propagation steps cost nothing here; realized
 cost is the evaluation plus undo work alone.
 
+Consecutive actions share a node: a memo point starts a node and an update
+point ends one, so the interval a re-evaluation replaces starts at a node
+boundary and no node is ever split.
+
 Timestamps do the heavy lifting: new nodes are inserted between the
 re-evaluated update point and the doomed old interval, so a history lookup
 at a new node's time sees exactly the store the faithful machine would see
@@ -123,8 +127,6 @@ class OrderMaintenance:
         self.relabels += 1
         for k, item in enumerate(g.items):
             item.sub = k * _SUBGAP
-        if len(g.items) > _GROUP_CAP:
-            self._split_group(g)
 
     def _split_group(self, g: _Group) -> None:
         self.relabels += 1
@@ -160,30 +162,20 @@ class OrderMaintenance:
 
 # -- trace nodes and packing -----------------------------------------------------
 
-BRANCH = "branch"  # control-flow marker in evaluation action streams
-
-
 def pack_runs(stream: list) -> list[list]:
-    """Greedy node packing: a memo point can only start a run; once a run
-    holds an update point, a branch boundary ends it (the suffix after an
-    update must be straight-line)."""
+    """Greedy node packing: a memo point starts a run and an update point
+    ends one, so an update is always the last action of its node and a
+    re-evaluation never has to split a node."""
     runs: list[list] = []
     cur: list = []
-    cur_has_update = False
     for item in stream:
-        if item is BRANCH:
-            if cur_has_update and cur:
-                runs.append(cur)
-                cur = []
-                cur_has_update = False
-            continue
         if isinstance(item, TMemo) and cur:
             runs.append(cur)
             cur = []
-            cur_has_update = False
         cur.append(item)
         if isinstance(item, TUpdate):
-            cur_has_update = True
+            runs.append(cur)
+            cur = []
     if cur:
         runs.append(cur)
     return runs
@@ -235,18 +227,13 @@ class EntryHistory:
     def insert(self, om, node, idx, kind, value) -> None:
         insort(self.events, [node, idx, kind, value], key=_by_time(om))
 
-    def remove(self, node, idx) -> bool:
-        for k, ev in enumerate(self.events):
-            if ev[0] is node and ev[1] == idx:
-                del self.events[k]
-                return True
+    def remove(self, om, node, idx) -> bool:
+        events = self.events
+        k = bisect_left(events, (*om.key(node.ts), idx), key=_by_time(om))
+        if k < len(events) and events[k][0] is node and events[k][1] == idx:
+            del events[k]
+            return True
         return False
-
-    def rebind(self, node, idx, new_node, new_idx) -> None:
-        for ev in self.events:
-            if ev[0] is node and ev[1] == idx:
-                ev[0], ev[1] = new_node, new_idx
-                return
 
     def value_at(self, om, key, base_value):
         """The latest write before `key`, else base_value."""
@@ -355,8 +342,8 @@ class Runtime:
         self.tail.ts = self.om.insert_after(self.head.ts)
         self.histories: dict[tuple[int, int], EntryHistory] = {}
         self.memo_index: dict[tuple, list[TraceNode]] = {}
-        self.queue: list[tuple[TraceNode, int, TUpdate]] = []
-        self.enclosing: dict[tuple[int, int], Optional[tuple[TraceNode, int]]] = {}
+        self.queue: list[TraceNode] = []  # update nodes in trace order
+        self.enclosing: dict[tuple[int, int], Optional[TraceNode]] = {}
         self.unguarded: list[tuple[Loc, int]] = []
         self.entry_removals: dict[tuple[int, int], int] = {}
         self.eval_steps = 0
@@ -367,7 +354,7 @@ class Runtime:
         self.skipped = 0
         budget = [fuel, fuel]
         self._session(initial_env(prog, inputs), prog.entry, after=self.head,
-                      cursor=None, cursor_idx=0, region=None, region_end=self.tail,
+                      cursor=None, region=None, region_end=self.tail,
                       guard=None, budget=budget)
 
     # -- linked-list and indexing helpers --------------------------------------
@@ -397,23 +384,14 @@ class Runtime:
 
     # -- queue ------------------------------------------------------------------
 
-    def _enqueue(self, node: TraceNode, idx: int) -> bool:
-        act = node.actions[idx]
-        assert isinstance(act, TUpdate)
-        if any(q[0].retired for q in self.queue):
-            self.queue = [q for q in self.queue if not q[0].retired]
-        for qn, qi, qa in self.queue:
-            if qa is act:
-                return False
-        key = self._pos_key(node, idx)
-        lo, hi = 0, len(self.queue)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._pos_key(self.queue[mid][0], self.queue[mid][1]) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.queue.insert(lo, (node, idx, act))
+    def _enqueue(self, node: TraceNode) -> bool:
+        """Queue the update point that ends `node`, unless it is queued."""
+        assert isinstance(node.actions[-1], TUpdate)
+        if any(q.retired for q in self.queue):
+            self.queue = [q for q in self.queue if not q.retired]
+        if node in self.queue:
+            return False
+        insort(self.queue, node, key=lambda q: self.om.key(q.ts))
         return True
 
     def _enqueue_reader(self, node: TraceNode, idx: int) -> list:
@@ -424,18 +402,16 @@ class Runtime:
             act = node.actions[idx]
             self.unguarded.append((act.loc, act.off))
             return []
-        en, ei = enc
-        if en.retired or ei >= len(en.actions) or not isinstance(
-                en.actions[ei], TUpdate):
+        if enc.retired:
             return []
-        return [enc] if self._enqueue(en, ei) else []
+        return [enc] if self._enqueue(enc) else []
 
     # -- dirtiness ----------------------------------------------------------------
 
     def mark_dirty(self, loc: Loc, off: int, value) -> set:
         """Apply one edit to the input store; enqueue the smallest enclosing
         update point of every read the edit breaks.  Returns the set of
-        enqueued (node, idx) update positions."""
+        enqueued update nodes."""
         if self.base.peek(loc, off) is None:
             raise KeyError(f"unknown entry {loc!r}[{off}]")
         self.base.write(loc, off, value)
@@ -445,7 +421,7 @@ class Runtime:
     def _invalidate(self, h: EntryHistory, key, value) -> set:
         """Enqueue the reads after `key`, up to the entry's next write,
         whose recorded value differs from `value`; returns the enqueued
-        update positions."""
+        update nodes."""
         out = set()
         for node, idx, recorded in h.readers_after(self.om, key):
             if recorded != value:
@@ -461,7 +437,7 @@ class Runtime:
     def _remove_write(self, node: TraceNode, idx: int, a: TWrite) -> None:
         h = self._hist(a.loc.id, a.off)
         key = self._pos_key(node, idx)
-        h.remove(node, idx)
+        h.remove(self.om, node, idx)
         self._invalidate(h, key, h.value_at(self.om, key,
                                             self.base.peek(a.loc, a.off)))
 
@@ -484,7 +460,7 @@ class Runtime:
         elif isinstance(a, TRead):
             h = self.histories.get((a.loc.id, a.off))
             if h is not None:
-                h.remove(node, idx)
+                h.remove(self.om, node, idx)
             self.enclosing.pop((id(node), idx), None)
         elif isinstance(a, TWrite):
             if (a.loc.id, a.off) in self.histories:
@@ -494,52 +470,35 @@ class Runtime:
             if lst is not None and node in lst:
                 lst.remove(node)
 
-    def _retire_interval(self, start: TraceNode, start_idx: int,
-                         stop: TraceNode) -> None:
-        """Undo [start@start_idx, stop): every atomic action is one undo
+    def _retire_interval(self, start: TraceNode, stop: TraceNode) -> None:
+        """Undo the nodes [start, stop): every atomic action is one undo
         step; region brackets count one each (descend and ascend)."""
         node = start
-        idx = start_idx
         while node is not stop:
+            nxt = node.next
             if node.kind == "run":
-                while idx < len(node.actions):
+                for idx in range(len(node.actions)):
                     self._retire_action(node, idx)
-                    idx += 1
-                nxt = node.next
-                if start_idx > 0 and node is start:
-                    # Partial node: keep the prefix, drop the rest.
-                    del node.actions[start_idx:]
-                    node = nxt
-                    idx = 0
-                    continue
-                self._unlink(node)
-                node = nxt
-                idx = 0
             else:  # begin / end brackets
                 self.undo_steps += 1
-                nxt = node.next
-                self._unlink(node)
-                node = nxt
-                idx = 0
+            self._unlink(node)
+            node = nxt
 
     # -- memo matching -----------------------------------------------------------
 
-    def _find_match(self, memo: A.Memo, env: dict,
-                    cursor: Optional[TraceNode], cursor_idx: int,
+    def _find_match(self, memo: A.Memo, env: dict, cursor: TraceNode,
                     region: Optional[TraceNode], region_end: TraceNode):
-        if cursor is None:
-            return None
         var_items, _ = self._saved(env, memo.eid)
         cands = self.memo_index.get((memo.eid, var_items))
         if not cands:
             return None
-        lo = self._pos_key(cursor, cursor_idx)
-        hi = self._pos_key(region_end, 0)
+        lo = self.om.key(cursor.ts)
+        hi = self.om.key(region_end.ts)
         best = None
         for node in cands:
             if node.retired or node.region is not region:
                 continue
-            key = self._pos_key(node, 0)
+            key = self.om.key(node.ts)
             if lo <= key < hi and (best is None or key < best[0]):
                 best = (key, node)
         return best[1] if best else None
@@ -549,43 +508,45 @@ class Runtime:
 
     # -- window check (shared definition with the faithful policy) -----------------
 
-    def window_dirty(self, node: TraceNode, idx: int) -> bool:
-        """Dirty iff a read between this update action and the next
-        update/push/pop boundary disagrees with the history at its time."""
-        n, i = node, idx + 1
-        while n is not self.tail:
-            if n.kind != "run":
-                return False  # region bracket: boundary
-            while i < len(n.actions):
-                a = n.actions[i]
+    def _guarded_reads(self, node: TraceNode):
+        """(node, idx, read) of the reads after `node` up to the next
+        update/pop/region boundary: the reads an update ending `node`
+        guards."""
+        n = node.next
+        while n.kind == "run":
+            for i, a in enumerate(n.actions):
                 if isinstance(a, (TUpdate, TPop)):
-                    return False
+                    return
                 if isinstance(a, TRead):
-                    cur = self._value_now(a.loc, a.off, self._pos_key(n, i))
-                    if cur is None or cur is UNINIT or cur != a.val:
-                        return True
-                i += 1
-            n, i = n.next, 0
+                    yield n, i, a
+            n = n.next
+
+    def window_dirty(self, node: TraceNode) -> bool:
+        """Dirty iff a read between the update ending `node` and the next
+        update/push/pop boundary disagrees with the history at its time."""
+        for n, i, a in self._guarded_reads(node):
+            cur = self._value_now(a.loc, a.off, self._pos_key(n, i))
+            if cur is None or cur is UNINIT or cur != a.val:
+                return True
         return False
 
     # -- the evaluation session ------------------------------------------------------
 
     def _session(self, env: dict, expr: A.Expr, after: TraceNode,
-                 cursor: Optional[TraceNode], cursor_idx: int,
+                 cursor: Optional[TraceNode],
                  region: Optional[TraceNode], region_end: TraceNode,
-                 guard: Optional[tuple[TraceNode, int]],
-                 budget: list[int]) -> None:
+                 guard: Optional[TraceNode], budget: list[int]) -> None:
         """Evaluate (env, expr), splicing new nodes after `after`.
 
         cursor..region_end is the reusable remainder of the re-evaluated
-        region (None for from-scratch runs); `guard` is the update position
+        region (None for from-scratch runs); `guard` is the update node
         enclosing new reads until the first new update point.  budget holds
         the steps left and the fuel they started from.
         """
         stack: list[Frame] = []
         open_regions: list[Optional[TraceNode]] = []
         # Guard chains: one per open region; top applies to new reads.
-        chains: list[Optional[tuple[TraceNode, int]]] = [guard]
+        chains: list[Optional[TraceNode]] = [guard]
         stream: list = []
         view = _SessionStore(self, after)
         command: object = expr
@@ -603,7 +564,7 @@ class Runtime:
                 self.new_entries += len(run)
                 for idx, a in enumerate(run):
                     if isinstance(a, TUpdate):
-                        chains[-1] = (node, idx)
+                        chains[-1] = node
                     elif isinstance(a, TRead):
                         self._hist(a.loc.id, a.off).insert(
                             self.om, node, idx, "R", a.val)
@@ -625,8 +586,6 @@ class Runtime:
             step = control_step(env, e)
             if step is not None:
                 _, env, command = step
-                if isinstance(e, A.If):
-                    stream.append(BRANCH)
                 self.eval_steps += 1
                 continue
             if isinstance(e, Values):
@@ -648,20 +607,16 @@ class Runtime:
                 # the values (the P.8 analogue), fix tail guards, finish.
                 last = flush()
                 if cursor is not None:
-                    self._retire_interval(cursor, cursor_idx, region_end)
+                    self._retire_interval(cursor, region_end)
                 self._repair_tail_guards(last, chains[-1])
                 return
             if isinstance(e, A.Memo) and not stack and cursor is not None:
-                cur_node, cur_idx = self._current_cursor(cursor, cursor_idx)
-                m = self._find_match(e, env, cur_node, cur_idx, region,
-                                     region_end)
+                m = self._find_match(e, env, cursor, region, region_end)
                 if m is not None:
                     self.matches += 1
                     self.eval_steps += 1  # E.P
                     last = flush()
-                    cur_node, cur_idx = self._current_cursor(cursor,
-                                                             cursor_idx)
-                    self._retire_interval(cur_node, cur_idx, m)
+                    self._retire_interval(cursor, m)
                     self._repair_tail_guards(last, chains[-1])
                     return
             if isinstance(e, A.Push):
@@ -683,13 +638,6 @@ class Runtime:
             stream.append(action)
             self.eval_steps += 1
 
-    def _current_cursor(self, cursor: TraceNode, cursor_idx: int):
-        """Normalize a cursor that points past the end of its node."""
-        node, idx = cursor, cursor_idx
-        while node.kind == "run" and idx >= len(node.actions):
-            node, idx = node.next, 0
-        return node, idx
-
     def _value_now(self, loc, off, key):
         if not isinstance(loc, Loc) or not isinstance(off, int):
             return None
@@ -702,22 +650,11 @@ class Runtime:
         return h.value_at(self.om, key, base_val)
 
     def _repair_tail_guards(self, last_new: TraceNode,
-                            guard: Optional[tuple[TraceNode, int]]) -> None:
+                            guard: Optional[TraceNode]) -> None:
         """After a splice, reads in the surviving tail up to its first
         update/boundary are guarded by the splice's trailing update."""
-        n = last_new.next
-        i = 0
-        while n is not self.tail:
-            if n.kind != "run":
-                return
-            while i < len(n.actions):
-                a = n.actions[i]
-                if isinstance(a, (TUpdate, TPop)):
-                    return
-                if isinstance(a, TRead):
-                    self.enclosing[(id(n), i)] = guard
-                i += 1
-            n, i = n.next, 0
+        for n, i, _ in self._guarded_reads(last_new):
+            self.enclosing[(id(n), i)] = guard
 
     # -- propagation -------------------------------------------------------------
 
@@ -735,23 +672,22 @@ class Runtime:
         for loc, off, val in edits:
             self.mark_dirty(loc, off, val)
         while self.queue:
-            node, idx, act = self.queue.pop(0)
-            if (node.retired or idx >= len(node.actions)
-                    or node.actions[idx] is not act):
+            node = self.queue.pop(0)
+            if node.retired:
                 continue
-            if not self.window_dirty(node, idx):
+            if not self.window_dirty(node):
                 self.skipped += 1
                 continue
+            act = node.actions[-1]
             self.reevaluated.append(act.eid)
             env = dict(act.env)
             env.update((f, self.fun_index[f]) for f in act.fnames)
-            # Split the node after the update action: the suffix is doomed.
-            cursor, cursor_idx = self._split_after(node, idx)
+            # The update ends its node, so the doomed interval starts at
+            # the next node.
             region = node.region
             region_end = region.partner if region is not None else self.tail
-            self._session(env, act.expr, after=node, cursor=cursor,
-                          cursor_idx=cursor_idx, region=region,
-                          region_end=region_end, guard=(node, idx),
+            self._session(env, act.expr, after=node, cursor=node.next,
+                          region=region, region_end=region_end, guard=node,
                           budget=budget)
         for loc, off in self.unguarded:
             h = self.histories.get((loc.id, off))
@@ -764,31 +700,6 @@ class Runtime:
                                        f"{base_val!r}, trace recorded "
                                        f"{recorded!r} (no enclosing update)")
         return self.result()
-
-    def _split_after(self, node: TraceNode, idx: int):
-        """Detach the actions after position idx into a doomed suffix node
-        (linked and timestamped right after); return the new cursor."""
-        suffix = node.actions[idx + 1:]
-        if not suffix:
-            return node.next, 0
-        del node.actions[idx + 1:]
-        sn = TraceNode("run", suffix)
-        sn.region = node.region
-        self._link_after(sn, node)
-        for k, a in enumerate(suffix):
-            old = (id(node), idx + 1 + k)
-            if isinstance(a, TRead):
-                self._hist(a.loc.id, a.off).rebind(node, idx + 1 + k, sn, k)
-                if old in self.enclosing:
-                    self.enclosing[(id(sn), k)] = self.enclosing.pop(old)
-            elif isinstance(a, TWrite):
-                self._hist(a.loc.id, a.off).rebind(node, idx + 1 + k, sn, k)
-            elif isinstance(a, TMemo):
-                lst = self.memo_index.get((a.eid, a.env))
-                if lst is not None and node in lst:
-                    lst.remove(node)
-                    lst.append(sn)
-        return sn, 0
 
     # -- results --------------------------------------------------------------------
 
@@ -858,4 +769,4 @@ class Runtime:
 
 
 __all__ = ["OrderMaintenance", "OMHandle", "UseAfterDelete", "TraceNode",
-           "EntryHistory", "pack_runs", "BRANCH", "Runtime", "FastResult"]
+           "EntryHistory", "pack_runs", "Runtime", "FastResult"]

@@ -136,14 +136,6 @@ def iter_chain(t: Trace) -> Iterator:
         t = t[1]
 
 
-def chain_len(t: Trace) -> int:
-    n = 0
-    while t is not None:
-        n += 1
-        t = t[1]
-    return n
-
-
 def action_count(t: Trace) -> int:
     """Atomic actions in a trace (push wrappers contribute their contents
     only; rewinding may rewrap leftovers into fresh push actions, so wrapper
@@ -177,19 +169,6 @@ def last_action(t: Trace):
     for a in iter_chain(t):
         last = a
     return last
-
-
-def flatten(t: Trace) -> list:
-    """Flat action sequence with explicit brackets around push subtraces."""
-    out: list = []
-    for a in iter_chain(t):
-        if isinstance(a, TPush):
-            out.append("(")
-            out.extend(flatten(a.sub))
-            out.append(")")
-        else:
-            out.append(a)
-    return out
 
 
 # -- rewinding ----------------------------------------------------------
@@ -322,7 +301,7 @@ __all__ = [
     "TAlloc", "TRead", "TWrite", "TMemo", "TUpdate", "TPush", "TPop",
     "Action", "Trace", "Ctx", "TraceZipper", "PUSH_MARK", "PropMark",
     "UndoMark", "Blocked", "RewindResult", "rewind_step", "rewind_to_mark",
-    "check_okay", "cons", "from_list", "to_list", "iter_chain", "chain_len",
-    "action_count", "ctx_action_count", "last_action", "flatten",
+    "check_okay", "cons", "from_list", "to_list", "iter_chain",
+    "action_count", "ctx_action_count", "last_action",
     "dump", "dump_lines",
 ]

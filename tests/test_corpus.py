@@ -1,10 +1,13 @@
 """Benchmark generators: golden values, host oracles, variant equivalence."""
 
+import os
+
 import pytest
 
-from sasm.corpus import (Edit, apply_edits, eval_tree_shape,
-                         exptrees_fixture, gen_array_max, gen_exptrees,
-                         gen_list, random_tree, NotPowerOfTwo, UPPER_TREE)
+from sasm.corpus import (Edit, apply_edits, emit_corpus_files,
+                         eval_tree_shape, exptrees_fixture, gen_array_max,
+                         gen_exptrees, gen_list, random_tree, NotPowerOfTwo,
+                         UPPER_TREE)
 from sasm.fuzz import gen_edits
 from sasm.refmachine import ref_run
 from sasm.tracing import propagate, run_from_scratch
@@ -178,3 +181,14 @@ def test_sorting_stretch_benchmarks_against_host_oracle():
         t2 = propagate(prog, t1.trace, s2.copy())
         fresh = run_from_scratch(prog, non_garbage(s2.copy()), inputs=inputs)
         assert canonical_result(t2, s2) == canonical_result(fresh, s2), algo
+
+
+def test_checked_in_corpus_files_match_their_generator(tmp_path):
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    written = emit_corpus_files(str(tmp_path))
+    names = sorted(os.path.basename(p) for p in written)
+    assert names == sorted(os.listdir(corpus))
+    for name in names:
+        with open(tmp_path / name, "rb") as fresh, \
+                open(os.path.join(corpus, name), "rb") as kept:
+            assert fresh.read() == kept.read(), name

@@ -13,11 +13,12 @@ from sasm.errors import FuelExhausted, Stuck, StuckRead, StuckWrite
 from sasm.fuzz import gen_edits, gen_program
 from sasm.parser import parse_program
 from sasm.refmachine import ref_run
-from sasm.runtime import (BRANCH, EntryHistory, OrderMaintenance, Runtime,
-                          TraceNode, UseAfterDelete, pack_runs)
+from sasm.runtime import (EntryHistory, OrderMaintenance, Runtime, TraceNode,
+                          UseAfterDelete, pack_runs)
 from sasm.store import Loc, Store
 from sasm.trace import TMemo, TRead, TUpdate, TWrite
-from sasm.tracing import canonicalize, propagation_machine, run_from_scratch
+from sasm.tracing import (canonicalize, non_garbage, propagation_machine,
+                          run_from_scratch)
 from sasm.wf import check_wf
 
 from om_oracle import NaiveOrder, Tail
@@ -147,7 +148,7 @@ def test_entry_history_against_a_sorted_list_oracle():
             events.append(ev)
         else:
             node, idx, _, _ = events.pop(rng.randrange(len(events)))
-            assert h.remove(node, idx)
+            assert h.remove(om, node, idx)
         want = sorted(events, key=lambda ev: pos(ev[0], ev[1]))
         assert [tuple(ev) for ev in h.events] == want
         writes = [ev[3] for ev in want if ev[2] == "W"]
@@ -190,12 +191,10 @@ def test_pack_memo_must_be_first():
     assert pack_runs([r, m]) == [[r], [m]]
 
 
-def test_pack_update_suffix_ends_at_branch():
+def test_pack_update_ends_its_run():
     u = TUpdate(1, (), None)
     r1, r2 = TRead(1, L, 1), TRead(2, L, 2)
-    assert pack_runs([u, r1, BRANCH, r2]) == [[u, r1], [r2]]
-    # Without an update in the run, branches do not split nodes.
-    assert pack_runs([r1, BRANCH, r2]) == [[r1, r2]]
+    assert pack_runs([r1, u, r2]) == [[r1, u], [r2]]
 
 
 def _resolved(edits, labels):
@@ -339,6 +338,30 @@ def test_garbage_retirement_bounded_removals():
     t2 = propagation_machine(prog, t1.trace, s2.copy()).run()
     assert canonicalize(t2.values, t2.trace, t2.store, s2) == \
         canonicalize(fast.values, fast.trace, fast.store, s2)
+
+
+def test_soak_list_map_keeps_updates_last_and_no_garbage_histories():
+    bench = gen_list("map", 32, seed=4)
+    store, labels, inputs = bench.build()
+    host = store.copy()
+    rt = Runtime(bench.program, store.copy(), inputs=inputs)
+    for batch in range(1, 41):
+        edits = gen_edits(100 + batch, host, labels, bench.edit_slots, 1)
+        apply_edits(host, labels, edits)
+        fast = rt.propagate(_resolved(edits, labels))
+        assert not {lid for lid, _ in rt.histories} & rt.base.garbage, batch
+        n = rt.head.next
+        while n is not rt.tail:
+            if n.kind == "run":
+                assert not any(isinstance(a, TUpdate)
+                               for a in n.actions[:-1]), batch
+            n = n.next
+        if batch % 10 == 0:
+            fresh = run_from_scratch(bench.program, non_garbage(host.copy()),
+                                     inputs=inputs)
+            assert canonicalize(fast.values, fast.trace, fast.store, host) == \
+                canonicalize(fresh.values, fresh.trace, fresh.store, host), \
+                batch
 
 
 def test_trace_node_sharing_reduces_node_count():
