@@ -27,6 +27,11 @@ class StuckAlloc(Stuck):
         super().__init__("S.1", reason)
 
 
+class StaleResult(Exception):
+    """A retained run's result was asked for its trace or store after the
+    run moved on to a later edit batch."""
+
+
 class FuelExhausted(Exception):
     def __init__(self, fuel: int):
         super().__init__(f"fuel exhausted after {fuel} steps")

@@ -91,30 +91,36 @@ class RefConfig:
 TERMINATED = "terminated"
 
 
-def control_step(env: dict, e) -> tuple[str, dict, object] | None:
-    """Rules R.1-R.5, the steps no engine records in a trace.
+def _fundef(env: dict, e: A.FunDef):  # R.1
+    return "R.1", {**env, e.fname: e}, e.cont
 
-    Returns (rule tag, env, command) for a FunDef, PrimOp, If or App, and
-    None for any other command.  The tracing machine logs these steps as E.0;
-    the Runtime takes them without recording an action.
-    """
-    if isinstance(e, A.FunDef):  # R.1
-        return "R.1", {**env, e.fname: e}, e.cont
-    if isinstance(e, A.PrimOp):  # R.2
-        args = [resolve(env, v) for v in e.args]
-        return "R.2", {**env, e.var: apply_prim(e.op, args)}, e.cont
-    if isinstance(e, A.If):  # R.3 / R.4
-        if resolve(env, e.cond) != 0:
-            return "R.3", env, e.then
-        return "R.4", env, e.els
-    if isinstance(e, A.App):  # R.5
-        fdef = lookup_fun(env, e.fname)
-        if len(fdef.params) != len(e.args):
-            raise Stuck("R.5", f"{e.fname!r} takes {len(fdef.params)} args")
-        callee = dict(env)
-        callee.update((p, resolve(env, a)) for p, a in zip(fdef.params, e.args))
-        return "R.5", callee, fdef.body
-    return None
+
+def _primop(env: dict, e: A.PrimOp):  # R.2
+    args = [resolve(env, v) for v in e.args]
+    return "R.2", {**env, e.var: apply_prim(e.op, args)}, e.cont
+
+
+def _if(env: dict, e: A.If):  # R.3 / R.4
+    if resolve(env, e.cond) != 0:
+        return "R.3", env, e.then
+    return "R.4", env, e.els
+
+
+def _app(env: dict, e: A.App):  # R.5
+    fdef = lookup_fun(env, e.fname)
+    if len(fdef.params) != len(e.args):
+        raise Stuck("R.5", f"{e.fname!r} takes {len(fdef.params)} args")
+    callee = dict(env)
+    callee.update((p, resolve(env, a)) for p, a in zip(fdef.params, e.args))
+    return "R.5", callee, fdef.body
+
+
+# Rules R.1-R.5 by command type, the steps no engine records in a trace.
+# Each takes (env, command) and returns (rule tag, env, command).  The
+# tracing machine logs these steps as E.0; the Runtime takes them without
+# recording an action.
+CONTROL_RULES = {A.FunDef: _fundef, A.PrimOp: _primop, A.If: _if,
+                 A.App: _app}
 
 
 def apply_frame(frame: Frame,
@@ -145,9 +151,9 @@ def ref_step(c: RefConfig, debug: bool = False) -> str:
         c.env, c.command = apply_frame(c.stack.pop(), cmd.vals)
         return "R.11"
     e = cmd
-    step = control_step(c.env, e)
-    if step is not None:
-        tag, c.env, c.command = step
+    rule = CONTROL_RULES.get(type(e))
+    if rule is not None:
+        tag, c.env, c.command = rule(c.env, e)
         return tag
     if isinstance(e, A.Inst):  # R.6 via S.1-S.3
         v, s_tag = step_store(c.store, c.env, e.inst)
@@ -210,5 +216,5 @@ def ref_run(prog: A.Program, init_store: Store | None = None,
 
 
 __all__ = ["Frame", "Values", "RefConfig", "RefResult", "ref_step", "ref_run",
-           "apply_prim", "control_step", "apply_frame", "initial_env",
+           "apply_prim", "CONTROL_RULES", "apply_frame", "initial_env",
            "TERMINATED"]

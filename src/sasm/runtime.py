@@ -21,6 +21,11 @@ at a new node's time sees exactly the store the faithful machine would see
 at that replay moment (earlier writes included, unreplayed and later writes
 excluded).
 
+A propagation costs what changed, not the whole run: its result carries the
+values and counts, kept up to date as nodes are linked and unlinked, and
+builds its trace and store only when they are first read.  They are valid
+until the Runtime's next edit; a later read raises StaleResult.
+
 The behavior mirrors the faithful tracing machine under the default policy;
 tests assert equality of values, live store, flattened trace and the set of
 re-evaluated update points over the corpus and fuzzed edit batches.
@@ -29,17 +34,16 @@ re-evaluated update points over the corpus and fuzzed edit batches.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import ilast as A
 from .analyses import LiveSet, live_vars
-from .errors import (DEFAULT_FUEL, FuelExhausted, Stuck, StuckRead,
-                     StuckWrite)
-from .refmachine import (Frame, Values, apply_frame, control_step,
-                         initial_env)
+from .errors import (DEFAULT_FUEL, FuelExhausted, StaleResult, Stuck,
+                     StuckRead, StuckWrite)
+from .refmachine import Frame, Values, apply_frame, initial_env
 from .store import Loc, MachineValue, Store, UNINIT
-from .tracing import saved_env, traced_step
+from .tracing import STEP_RULES, saved_env
 from .trace import (TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
                     Trace, from_list)
 
@@ -186,7 +190,7 @@ class TraceNode:
     bracket; nodes form a doubly-linked list in trace order."""
 
     __slots__ = ("kind", "actions", "ts", "prev", "next", "region",
-                 "retired", "partner")
+                 "retired", "partner", "queued")
 
     def __init__(self, kind: str, actions=None):
         self.kind = kind  # "run" | "begin" | "end" | "head" | "tail"
@@ -197,6 +201,12 @@ class TraceNode:
         self.region: Optional["TraceNode"] = None  # innermost begin node
         self.retired = False
         self.partner: Optional["TraceNode"] = None  # begin<->end
+        self.queued = False  # an update node waiting in Runtime.queue
+
+    def entries(self) -> int:
+        """The node's length in the flattened trace: its actions, or one
+        bracket."""
+        return len(self.actions) if self.kind == "run" else 1
 
     def __repr__(self):
         return f"<{self.kind}@{id(self) & 0xffff:x} {self.actions!r}>"
@@ -268,7 +278,7 @@ class EntryHistory:
 
 
 class _SessionStore:
-    """The store as one evaluation session sees it, for `traced_step`.
+    """The store as one evaluation session sees it, for the traced rules.
 
     Allocation goes to the input store.  A read sees the session's writes
     not yet flushed into trace nodes, then the entry's history just after
@@ -308,9 +318,16 @@ class _SessionStore:
 
 @dataclass
 class FastResult:
+    """What one propagation did, and the retained run it left behind.
+
+    `values` and the counts are fixed when the result is made.  `trace` and
+    `store` are built from the Runtime on first read (by `build_trace` and
+    `build_store`) and cached.  They are valid until the Runtime's next
+    `propagate` or `mark_dirty`; a read after that raises StaleResult, so a
+    result never shows another batch's state.
+    """
+
     values: tuple[MachineValue, ...]
-    store: Store
-    trace: Trace
     realized: int
     eval_steps: int
     undo_steps: int
@@ -318,6 +335,26 @@ class FastResult:
     reevaluated: list[int]  # update eids in dequeue (trace) order
     skipped: int
     matches: int
+    runtime: "Runtime" = field(repr=False, compare=False)
+    generation: int = field(repr=False, compare=False)
+    _built: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def _read(self, name: str, build):
+        if self.runtime.generation != self.generation:
+            raise StaleResult(f"{name} of a result read after the Runtime "
+                              f"took a later edit")
+        if name not in self._built:
+            self._built[name] = build()
+        return self._built[name]
+
+    @property
+    def store(self) -> Store:
+        return self._read("store", self.runtime.build_store)
+
+    @property
+    def trace(self) -> Trace:
+        return self._read("trace", self.runtime.build_trace)
 
 
 MINKEY = (-1, -1, -1)
@@ -352,6 +389,8 @@ class Runtime:
         self.matches = 0
         self.reevaluated: list[int] = []
         self.skipped = 0
+        self.live_entries = 0  # len(self.flat_trace()), kept up to date
+        self.generation = 0  # bumped whenever an edit changes the run
         budget = [fuel, fuel]
         self._session(initial_env(prog, inputs), prog.entry, after=self.head,
                       cursor=None, region=None, region_end=self.tail,
@@ -365,13 +404,21 @@ class Runtime:
         prev.next.prev = node
         prev.next = node
         node.ts = self.om.insert_after(prev.ts)
+        self.live_entries += node.entries()
         return node
 
     def _unlink(self, node: TraceNode) -> None:
+        if node.queued:
+            # Off the queue while its timestamp can still be compared.
+            k = bisect_left(self.queue, self._ts_key(node), key=self._ts_key)
+            assert self.queue[k] is node
+            del self.queue[k]
+            node.queued = False
         node.prev.next = node.next
         node.next.prev = node.prev
         node.retired = True
         self.om.delete(node.ts)
+        self.live_entries -= node.entries()
 
     def _hist(self, lid: int, off: int) -> EntryHistory:
         h = self.histories.get((lid, off))
@@ -382,16 +429,18 @@ class Runtime:
     def _pos_key(self, node: TraceNode, idx: int):
         return (*self.om.key(node.ts), idx)
 
+    def _ts_key(self, node: TraceNode):
+        return self.om.key(node.ts)
+
     # -- queue ------------------------------------------------------------------
 
     def _enqueue(self, node: TraceNode) -> bool:
         """Queue the update point that ends `node`, unless it is queued."""
         assert isinstance(node.actions[-1], TUpdate)
-        if any(q.retired for q in self.queue):
-            self.queue = [q for q in self.queue if not q.retired]
-        if node in self.queue:
+        if node.queued:
             return False
-        insort(self.queue, node, key=lambda q: self.om.key(q.ts))
+        node.queued = True
+        insort(self.queue, node, key=self._ts_key)
         return True
 
     def _enqueue_reader(self, node: TraceNode, idx: int) -> list:
@@ -414,6 +463,7 @@ class Runtime:
         enqueued update nodes."""
         if self.base.peek(loc, off) is None:
             raise KeyError(f"unknown entry {loc!r}[{off}]")
+        self.generation += 1
         self.base.write(loc, off, value)
         h = self.histories.get((loc.id, off))
         return set() if h is None else self._invalidate(h, MINKEY, value)
@@ -466,9 +516,11 @@ class Runtime:
             if (a.loc.id, a.off) in self.histories:
                 self._remove_write(node, idx, a)
         elif isinstance(a, TMemo):
-            lst = self.memo_index.get((a.eid, a.env))
-            if lst is not None and node in lst:
-                lst.remove(node)
+            # A memo point starts its node, so the node is listed once.
+            lst = self.memo_index[(a.eid, a.env)]
+            lst.remove(node)
+            if not lst:
+                del self.memo_index[(a.eid, a.env)]
 
     def _retire_interval(self, start: TraceNode, stop: TraceNode) -> None:
         """Undo the nodes [start, stop): every atomic action is one undo
@@ -496,7 +548,7 @@ class Runtime:
         hi = self.om.key(region_end.ts)
         best = None
         for node in cands:
-            if node.retired or node.region is not region:
+            if node.region is not region:
                 continue
             key = self.om.key(node.ts)
             if lo <= key < hi and (best is None or key < best[0]):
@@ -583,9 +635,24 @@ class Runtime:
                 raise FuelExhausted(budget[1])
 
             e = command
-            step = control_step(env, e)
-            if step is not None:
-                _, env, command = step
+            rule = STEP_RULES.get(type(e))
+            if rule is not None:
+                traced, step = rule
+                if not traced:
+                    _, env, command = step(env, e)
+                    self.eval_steps += 1
+                    continue
+                if isinstance(e, A.Memo) and not stack and cursor is not None:
+                    m = self._find_match(e, env, cursor, region, region_end)
+                    if m is not None:
+                        self.matches += 1
+                        self.eval_steps += 1  # E.P
+                        last = flush()
+                        self._retire_interval(cursor, m)
+                        self._repair_tail_guards(last, chains[-1])
+                        return
+                _, action, env, command = step(view, env, e, self._saved)
+                stream.append(action)
                 self.eval_steps += 1
                 continue
             if isinstance(e, Values):
@@ -610,15 +677,6 @@ class Runtime:
                     self._retire_interval(cursor, region_end)
                 self._repair_tail_guards(last, chains[-1])
                 return
-            if isinstance(e, A.Memo) and not stack and cursor is not None:
-                m = self._find_match(e, env, cursor, region, region_end)
-                if m is not None:
-                    self.matches += 1
-                    self.eval_steps += 1  # E.P
-                    last = flush()
-                    self._retire_interval(cursor, m)
-                    self._repair_tail_guards(last, chains[-1])
-                    return
             if isinstance(e, A.Push):
                 flush()
                 begin = TraceNode("begin")
@@ -631,12 +689,7 @@ class Runtime:
                 command = e.body
                 self.eval_steps += 1
                 continue
-            step = traced_step(view, env, e, self._saved)
-            if step is None:
-                raise Stuck("E", f"no rule for command {e!r}")
-            _, action, env, command = step
-            stream.append(action)
-            self.eval_steps += 1
+            raise Stuck("E", f"no rule for command {e!r}")
 
     def _value_now(self, loc, off, key):
         if not isinstance(loc, Loc) or not isinstance(off, int):
@@ -662,6 +715,7 @@ class Runtime:
                   fuel: int | None = None) -> FastResult:
         fuel = fuel if fuel is not None else self.fuel
         budget = [fuel, fuel]
+        self.generation += 1
         self.eval_steps = 0
         self.undo_steps = 0
         self.new_entries = 0
@@ -673,8 +727,7 @@ class Runtime:
             self.mark_dirty(loc, off, val)
         while self.queue:
             node = self.queue.pop(0)
-            if node.retired:
-                continue
+            node.queued = False
             if not self.window_dirty(node):
                 self.skipped += 1
                 continue
@@ -753,11 +806,10 @@ class Runtime:
         return store
 
     def result(self) -> FastResult:
-        old_surviving = len(self.flat_trace()) - self.new_entries
+        """The last propagation's result; builds neither trace nor store."""
+        old_surviving = self.live_entries - self.new_entries
         return FastResult(
             values=self.final_values(),
-            store=self.build_store(),
-            trace=self.build_trace(),
             realized=self.eval_steps + self.undo_steps,
             eval_steps=self.eval_steps,
             undo_steps=self.undo_steps,
@@ -765,6 +817,8 @@ class Runtime:
             reevaluated=list(self.reevaluated),
             skipped=self.skipped,
             matches=self.matches,
+            runtime=self,
+            generation=self.generation,
         )
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 from . import ilast as A
 from .analyses import LiveSet, live_vars
 from .errors import DEFAULT_FUEL, FuelExhausted, Stuck
-from .refmachine import (Frame, Values, apply_frame, control_step,
+from .refmachine import (CONTROL_RULES, Frame, Values, apply_frame,
                          initial_env)
 from .store import Loc, MachineValue, Store, UNINIT, resolve, step_store
 from .trace import (
@@ -96,38 +96,49 @@ def saved_env(env: dict, live: frozenset[str], fn_names: frozenset[str]):
     return var_items, fnames
 
 
-def traced_step(store, env: dict, e, saved):
-    """Rules E.1-E.5 and E.7, the steps that record one trace action.
+# Rules E.1-E.5 and E.7, the steps that record one trace action.  Each takes
+# (store, env, command, saved) and returns (rule tag, action, env, command).
+# Instructions go through S.1-S.3 on `store`, which needs only alloc, read
+# and write; `saved(env, eid)` gives a memo or update point's saved variables
+# and function names.  Memo matching and Push stay with the engine.
+def _inst(store, env: dict, e: A.Inst, saved):  # E.1-E.3
+    inst = e.inst
+    v, _ = step_store(store, env, inst)
+    if isinstance(inst, A.Alloc):
+        tag, action = "E.1", TAlloc(v, resolve(env, inst.size))
+    elif isinstance(inst, A.Read):
+        tag, action = "E.2", TRead(v, resolve(env, inst.loc),
+                                   resolve(env, inst.off))
+    else:
+        tag, action = "E.3", TWrite(resolve(env, inst.val),
+                                    resolve(env, inst.loc),
+                                    resolve(env, inst.off))
+    return tag, action, {**env, e.var: v}, e.cont
 
-    Returns (rule tag, action, env, command) for an Inst, Memo, Update or
-    Pop, and None for any other command.  Instructions go through S.1-S.3 on
-    `store`, which needs only alloc, read and write; `saved(env, eid)` gives
-    a memo or update point's saved variables and function names.  Memo
-    matching and Push stay with the engine.
-    """
-    if isinstance(e, A.Inst):  # E.1-E.3
-        inst = e.inst
-        v, _ = step_store(store, env, inst)
-        if isinstance(inst, A.Alloc):
-            tag, action = "E.1", TAlloc(v, resolve(env, inst.size))
-        elif isinstance(inst, A.Read):
-            tag, action = "E.2", TRead(v, resolve(env, inst.loc),
-                                       resolve(env, inst.off))
-        else:
-            tag, action = "E.3", TWrite(resolve(env, inst.val),
-                                        resolve(env, inst.loc),
-                                        resolve(env, inst.off))
-        return tag, action, {**env, e.var: v}, e.cont
-    if isinstance(e, A.Memo):  # E.4
-        var_items, fnames = saved(env, e.eid)
-        return "E.4", TMemo(e.eid, var_items, e.body, fnames), env, e.body
-    if isinstance(e, A.Update):  # E.5
-        var_items, fnames = saved(env, e.eid)
-        return "E.5", TUpdate(e.eid, var_items, e.body, fnames), env, e.body
-    if isinstance(e, A.Pop):  # E.7
-        vals = tuple(resolve(env, v) for v in e.vals)
-        return "E.7", TPop(vals), {}, Values(vals)
-    return None
+
+def _memo(store, env: dict, e: A.Memo, saved):  # E.4
+    var_items, fnames = saved(env, e.eid)
+    return "E.4", TMemo(e.eid, var_items, e.body, fnames), env, e.body
+
+
+def _update(store, env: dict, e: A.Update, saved):  # E.5
+    var_items, fnames = saved(env, e.eid)
+    return "E.5", TUpdate(e.eid, var_items, e.body, fnames), env, e.body
+
+
+def _pop(store, env: dict, e: A.Pop, saved):  # E.7
+    vals = tuple(resolve(env, v) for v in e.vals)
+    return "E.7", TPop(vals), {}, Values(vals)
+
+
+# Both tracing engines dispatch a command once, on its type: to an untraced
+# rule of CONTROL_RULES (traced False) or to a traced rule (traced True).
+# Push, value commands and memo matching stay with each engine.
+STEP_RULES = {
+    **{t: (False, rule) for t, rule in CONTROL_RULES.items()},
+    A.Inst: (True, _inst), A.Memo: (True, _memo),
+    A.Update: (True, _update), A.Pop: (True, _pop),
+}
 
 
 class TracingMachine:
@@ -251,11 +262,17 @@ class TracingMachine:
                 self._seek_depth = 0
                 return self._eval_step(e)
 
-        # E.0: the untraced steps are the reference machine's R.1-R.5.
-        step = control_step(self.env, e)
-        if step is not None:
-            _, self.env, self.command = step
-            return self._emit("E.0")
+        rule = STEP_RULES.get(type(e))
+        if rule is not None:
+            traced, step = rule
+            if not traced:
+                # E.0: the untraced steps are the reference machine's R.1-R.5.
+                _, self.env, self.command = step(self.env, e)
+                return self._emit("E.0")
+            tag, action, self.env, self.command = step(
+                self.store, self.env, e, self._saved)
+            self.ctx = (action, self.ctx)
+            return self._emit(tag)
 
         if isinstance(e, A.Push):
             self.ctx = (PUSH_MARK, self.ctx)
@@ -264,13 +281,7 @@ class TracingMachine:
                 self._mark_stacks.append(("push", tuple(self.stack), None))
             self.command = e.body
             return self._emit("E.6")
-
-        step = traced_step(self.store, self.env, e, self._saved)
-        if step is None:
-            raise Stuck("E", f"no rule for command {e!r}")
-        tag, action, self.env, self.command = step
-        self.ctx = (action, self.ctx)
-        return self._emit(tag)
+        raise Stuck("E", f"no rule for command {e!r}")
 
     # -- value-command steps -------------------------------------------------
 
@@ -670,6 +681,6 @@ __all__ = [
     "PROP", "TERMINATED", "Policy", "DEFAULT_POLICY", "BalancedResult",
     "TracingMachine", "run_from_scratch", "propagate", "non_garbage",
     "check_garbage_unreachable", "canonicalize", "canonical_result",
-    "enumerate_schedules", "BoundExceeded", "saved_env", "traced_step",
+    "enumerate_schedules", "BoundExceeded", "saved_env", "STEP_RULES",
     "EVAL_TAGS", "PROP_TAGS", "UNDO_TAGS",
 ]

@@ -9,7 +9,8 @@ from sasm.corpus import (Edit, apply_edits, exptrees_fixture,
                          gen_array_max, gen_list)
 from sasm.cost import cost_vector
 from sasm.dps import dps_convert_program
-from sasm.errors import FuelExhausted, Stuck, StuckRead, StuckWrite
+from sasm.errors import (FuelExhausted, StaleResult, Stuck, StuckRead,
+                         StuckWrite)
 from sasm.fuzz import gen_edits, gen_program
 from sasm.parser import parse_program
 from sasm.refmachine import ref_run
@@ -350,6 +351,7 @@ def test_soak_list_map_keeps_updates_last_and_no_garbage_histories():
         apply_edits(host, labels, edits)
         fast = rt.propagate(_resolved(edits, labels))
         assert not {lid for lid, _ in rt.histories} & rt.base.garbage, batch
+        assert rt.live_entries == len(rt.flat_trace()), batch
         n = rt.head.next
         while n is not rt.tail:
             if n.kind == "run":
@@ -362,6 +364,58 @@ def test_soak_list_map_keeps_updates_last_and_no_garbage_histories():
             assert canonicalize(fast.values, fast.trace, fast.store, host) == \
                 canonicalize(fresh.values, fresh.trace, fresh.store, host), \
                 batch
+
+
+def _store_state(s):
+    return s.cells, s.sizes, s.garbage, s.next_id
+
+
+def test_propagate_never_walks_the_whole_trace(monkeypatch):
+    def forbidden(name):
+        def walk(self):
+            raise AssertionError(f"propagate called Runtime.{name}")
+        return walk
+
+    for bench in (gen_array_max(256, "b"), gen_list("map", 32, seed=4)):
+        store, labels, inputs = bench.build()
+        t1 = run_from_scratch(bench.program, store.copy(), inputs=inputs)
+        rt = Runtime(bench.program, store.copy(), inputs=inputs)
+        edits = gen_edits(7, store, labels, bench.edit_slots, 1)
+        s2 = store.copy()
+        apply_edits(s2, labels, edits)
+        t2 = propagation_machine(bench.program, t1.trace, s2.copy()).run()
+        with monkeypatch.context() as m:
+            for name in ("flat_trace", "build_trace", "build_store"):
+                m.setattr(Runtime, name, forbidden(name))
+            fast = rt.propagate(_resolved(edits, labels))
+            seen = (fast.values, fast.realized, fast.prop_equivalent)
+        cv = cost_vector(t2.log)
+        assert seen == (t2.values, cv.realized, cv.tracing[1]), bench.name
+        assert canonicalize(t2.values, t2.trace, t2.store, s2) == \
+            canonicalize(fast.values, fast.trace, fast.store, s2), bench.name
+
+
+def test_a_result_goes_stale_at_the_next_batch():
+    bench = gen_array_max(64, "b")
+    store, labels, inputs = bench.build()
+    rt = Runtime(bench.program, store, inputs=inputs)
+    first = rt.propagate([(labels["arr"], 1, 999)])
+    assert _store_state(first.store) == _store_state(rt.build_store())
+    assert first.trace == rt.build_trace()
+    counts = (first.values, first.realized, first.prop_equivalent)
+    second = rt.propagate([(labels["arr"], 2, -5)])
+    for name in ("store", "trace"):  # read before, and cached
+        with pytest.raises(StaleResult):
+            getattr(first, name)
+    # The values and counts stay readable.
+    assert (first.values, first.realized, first.prop_equivalent) == counts
+    rt.mark_dirty(labels["arr"], 3, 7)
+    for name in ("store", "trace"):  # never read before
+        with pytest.raises(StaleResult):
+            getattr(second, name)
+    third = rt.propagate([])
+    assert _store_state(third.store) == _store_state(rt.build_store())
+    assert third.trace == rt.build_trace()
 
 
 def test_trace_node_sharing_reduces_node_count():
