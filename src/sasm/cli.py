@@ -393,7 +393,7 @@ def cmd_fuzz(args) -> int:
                 else:  # fastvsfaithful
                     rt = Runtime(prog, store.copy(), inputs=inputs, fuel=fuel)
                     fast = rt.propagate(
-                        [(labels[e.label], e.offset, e.value) for e in edits],
+                        [e.resolve(labels) for e in edits],
                         fuel=fuel)
                     ok = (canonicalize(fast.values, fast.trace, fast.store, s2)
                           == canonicalize(t2.values, t2.trace, t2.store, s2))

@@ -13,7 +13,10 @@ cost is the evaluation plus undo work alone.
 
 Consecutive actions share a node: a memo point starts a node and an update
 point ends one, so the interval a re-evaluation replaces starts at a node
-boundary and no node is ever split.
+boundary and no node is ever split.  Each action goes into its node and is
+indexed as soon as it is traced.  Every read of a run node has the same
+guard (the update point whose re-evaluation re-runs it), so guards are kept
+per node.
 
 Timestamps do the heavy lifting: new nodes are inserted between the
 re-evaluated update point and the doomed old interval, so a history lookup
@@ -164,25 +167,7 @@ class OrderMaintenance:
             g = g.next
 
 
-# -- trace nodes and packing -----------------------------------------------------
-
-def pack_runs(stream: list) -> list[list]:
-    """Greedy node packing: a memo point starts a run and an update point
-    ends one, so an update is always the last action of its node and a
-    re-evaluation never has to split a node."""
-    runs: list[list] = []
-    cur: list = []
-    for item in stream:
-        if isinstance(item, TMemo) and cur:
-            runs.append(cur)
-            cur = []
-        cur.append(item)
-        if isinstance(item, TUpdate):
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
-    return runs
+# -- trace nodes -------------------------------------------------------------
 
 
 class TraceNode:
@@ -192,9 +177,9 @@ class TraceNode:
     __slots__ = ("kind", "actions", "ts", "prev", "next", "region",
                  "retired", "partner", "queued")
 
-    def __init__(self, kind: str, actions=None):
+    def __init__(self, kind: str):
         self.kind = kind  # "run" | "begin" | "end" | "head" | "tail"
-        self.actions: list = actions if actions is not None else []
+        self.actions: list = []
         self.ts: OMHandle = None  # type: ignore[assignment]
         self.prev: Optional["TraceNode"] = None
         self.next: Optional["TraceNode"] = None
@@ -209,7 +194,7 @@ class TraceNode:
         return len(self.actions) if self.kind == "run" else 1
 
     def __repr__(self):
-        return f"<{self.kind}@{id(self) & 0xffff:x} {self.actions!r}>"
+        return f"<{self.kind} {self.actions!r}>"
 
 
 # -- per-entry histories -----------------------------------------------------------
@@ -280,28 +265,25 @@ class EntryHistory:
 class _SessionStore:
     """The store as one evaluation session sees it, for the traced rules.
 
-    Allocation goes to the input store.  A read sees the session's writes
-    not yet flushed into trace nodes, then the entry's history just after
-    `at`, the last node the session spliced in.  A write is range-checked
-    and held until the next flush records it in the history.
+    Allocation goes to the input store.  A read sees the entry's history
+    just after `at`, the node the session's last action went into, so the
+    session's own writes are already there.  A write is only range-checked:
+    the session records its action in the history once the rule returns.
     """
 
-    __slots__ = ("rt", "at", "pending")
+    __slots__ = ("rt", "at")
 
     def __init__(self, rt: "Runtime", at: TraceNode):
         self.rt = rt
         self.at = at
-        self.pending: dict[tuple[int, int], MachineValue] = {}
 
     def alloc(self, size, loc_id=None) -> Loc:
         return self.rt.base.alloc(size, loc_id)
 
     def read(self, loc, off) -> MachineValue:
-        v = self.pending.get((loc.id, off)) if isinstance(loc, Loc) else None
-        if v is None:
-            # Index 1 << 40 places the key after every action of `at`.
-            v = self.rt._value_now(loc, off,
-                                   (*self.rt.om.key(self.at.ts), 1 << 40))
+        rt = self.rt
+        # Index 1 << 40 places the key after every action of `at`.
+        v = rt._value_now(loc, off, (*rt.om.key(self.at.ts), 1 << 40))
         if v is None or v is UNINIT:
             raise StuckRead(f"read of {loc!r}[{off!r}] unavailable")
         return v
@@ -309,7 +291,6 @@ class _SessionStore:
     def write(self, loc, off, val) -> int:
         if not isinstance(loc, Loc) or self.rt.base.peek(loc, off) is None:
             raise StuckWrite(f"write of {loc!r}[{off!r}] out of range")
-        self.pending[(loc.id, off)] = val
         return 0
 
 
@@ -380,7 +361,8 @@ class Runtime:
         self.histories: dict[tuple[int, int], EntryHistory] = {}
         self.memo_index: dict[tuple, list[TraceNode]] = {}
         self.queue: list[TraceNode] = []  # update nodes in trace order
-        self.enclosing: dict[tuple[int, int], Optional[TraceNode]] = {}
+        # The update point guarding each live run node's reads.
+        self.enclosing: dict[TraceNode, Optional[TraceNode]] = {}
         self.unguarded: list[tuple[Loc, int]] = []
         self.entry_removals: dict[tuple[int, int], int] = {}
         self.eval_steps = 0
@@ -394,7 +376,7 @@ class Runtime:
         budget = [fuel, fuel]
         self._session(initial_env(prog, inputs), prog.entry, after=self.head,
                       cursor=None, region=None, region_end=self.tail,
-                      guard=None, budget=budget)
+                      budget=budget)
 
     # -- linked-list and indexing helpers --------------------------------------
 
@@ -405,6 +387,7 @@ class Runtime:
         prev.next = node
         node.ts = self.om.insert_after(prev.ts)
         self.live_entries += node.entries()
+        self.new_entries += node.entries()
         return node
 
     def _unlink(self, node: TraceNode) -> None:
@@ -446,7 +429,7 @@ class Runtime:
     def _enqueue_reader(self, node: TraceNode, idx: int) -> list:
         """Enqueue the reader's enclosing update point; record unguarded
         dirty reads (the faithful machine gets stuck at their replay)."""
-        enc = self.enclosing.get((id(node), idx))
+        enc = self.enclosing[node]
         if enc is None:
             act = node.actions[idx]
             self.unguarded.append((act.loc, act.off))
@@ -511,7 +494,6 @@ class Runtime:
             h = self.histories.get((a.loc.id, a.off))
             if h is not None:
                 h.remove(self.om, node, idx)
-            self.enclosing.pop((id(node), idx), None)
         elif isinstance(a, TWrite):
             if (a.loc.id, a.off) in self.histories:
                 self._remove_write(node, idx, a)
@@ -531,6 +513,7 @@ class Runtime:
             if node.kind == "run":
                 for idx in range(len(node.actions)):
                     self._retire_action(node, idx)
+                del self.enclosing[node]
             else:  # begin / end brackets
                 self.undo_steps += 1
             self._unlink(node)
@@ -560,26 +543,19 @@ class Runtime:
 
     # -- window check (shared definition with the faithful policy) -----------------
 
-    def _guarded_reads(self, node: TraceNode):
-        """(node, idx, read) of the reads after `node` up to the next
-        update/pop/region boundary: the reads an update ending `node`
-        guards."""
+    def window_dirty(self, node: TraceNode) -> bool:
+        """Dirty iff a read between the update ending `node` and the next
+        update/push/pop boundary disagrees with the history at its time."""
         n = node.next
         while n.kind == "run":
             for i, a in enumerate(n.actions):
                 if isinstance(a, (TUpdate, TPop)):
-                    return
+                    return False
                 if isinstance(a, TRead):
-                    yield n, i, a
+                    cur = self._value_now(a.loc, a.off, self._pos_key(n, i))
+                    if cur is None or cur is UNINIT or cur != a.val:
+                        return True
             n = n.next
-
-    def window_dirty(self, node: TraceNode) -> bool:
-        """Dirty iff a read between the update ending `node` and the next
-        update/push/pop boundary disagrees with the history at its time."""
-        for n, i, a in self._guarded_reads(node):
-            cur = self._value_now(a.loc, a.off, self._pos_key(n, i))
-            if cur is None or cur is UNINIT or cur != a.val:
-                return True
         return False
 
     # -- the evaluation session ------------------------------------------------------
@@ -587,47 +563,20 @@ class Runtime:
     def _session(self, env: dict, expr: A.Expr, after: TraceNode,
                  cursor: Optional[TraceNode],
                  region: Optional[TraceNode], region_end: TraceNode,
-                 guard: Optional[TraceNode], budget: list[int]) -> None:
+                 budget: list[int]) -> None:
         """Evaluate (env, expr), splicing new nodes after `after`.
 
-        cursor..region_end is the reusable remainder of the re-evaluated
-        region (None for from-scratch runs); `guard` is the update node
-        enclosing new reads until the first new update point.  budget holds
-        the steps left and the fuel they started from.
+        Each traced action goes into a run node and is indexed there as soon
+        as its rule returns (see _record), so the session holds no actions
+        of its own.  cursor..region_end is the reusable remainder of the
+        re-evaluated region (None for from-scratch runs).  budget holds the
+        steps left and the fuel they started from.
         """
         stack: list[Frame] = []
-        open_regions: list[Optional[TraceNode]] = []
-        # Guard chains: one per open region; top applies to new reads.
-        chains: list[Optional[TraceNode]] = [guard]
-        stream: list = []
+        # The open regions' begin nodes, innermost last.
+        regions: list[Optional[TraceNode]] = [region]
         view = _SessionStore(self, after)
         command: object = expr
-
-        def flush() -> TraceNode:
-            nonlocal stream
-            view.pending.clear()
-            if not stream:
-                return view.at
-            current_region = open_regions[-1] if open_regions else region
-            for run in pack_runs(stream):
-                node = TraceNode("run", run)
-                node.region = current_region
-                view.at = self._link_after(node, view.at)
-                self.new_entries += len(run)
-                for idx, a in enumerate(run):
-                    if isinstance(a, TUpdate):
-                        chains[-1] = node
-                    elif isinstance(a, TRead):
-                        self._hist(a.loc.id, a.off).insert(
-                            self.om, node, idx, "R", a.val)
-                        self.enclosing[(id(node), idx)] = chains[-1]
-                    elif isinstance(a, TWrite):
-                        self._commit_write(node, idx, a)
-                    elif isinstance(a, TMemo):
-                        self.memo_index.setdefault(
-                            (a.eid, a.env), []).append(node)
-            stream = []
-            return view.at
 
         while True:
             budget[0] -= 1
@@ -647,49 +596,73 @@ class Runtime:
                     if m is not None:
                         self.matches += 1
                         self.eval_steps += 1  # E.P
-                        last = flush()
                         self._retire_interval(cursor, m)
-                        self._repair_tail_guards(last, chains[-1])
+                        self._repair_tail_guards(m)
                         return
                 _, action, env, command = step(view, env, e, self._saved)
-                stream.append(action)
+                view.at = self._record(view.at, action, regions[-1])
                 self.eval_steps += 1
                 continue
             if isinstance(e, Values):
                 if stack:
                     # E.8: close the innermost region, apply the frame.
-                    flush()
-                    begin = open_regions.pop()
+                    begin = regions.pop()
                     endn = TraceNode("end")
                     endn.partner, begin.partner = begin, endn
                     endn.region = begin.region
                     view.at = self._link_after(endn, view.at)
-                    self.new_entries += 1
-                    chains.pop()
-                    chains[-1] = None  # child boundary resets the guard
                     env, command = apply_frame(stack.pop(), e.vals)
                     self.eval_steps += 1
                     continue
                 # Session region pop: drain the leftover interval, discard
-                # the values (the P.8 analogue), fix tail guards, finish.
-                last = flush()
+                # the values (the P.8 analogue), finish.
                 if cursor is not None:
                     self._retire_interval(cursor, region_end)
-                self._repair_tail_guards(last, chains[-1])
                 return
             if isinstance(e, A.Push):
-                flush()
                 begin = TraceNode("begin")
-                begin.region = open_regions[-1] if open_regions else region
+                begin.region = regions[-1]
                 view.at = self._link_after(begin, view.at)
-                self.new_entries += 1
-                open_regions.append(begin)
-                chains.append(None)
+                regions.append(begin)
                 stack.append(Frame(env, e.fname))
                 command = e.body
                 self.eval_steps += 1
                 continue
             raise Stuck("E", f"no rule for command {e!r}")
+
+    def _record(self, at: TraceNode, a, region: Optional[TraceNode]):
+        """Append the traced action `a` after `at`, the node the session
+        linked last, and index it; returns the node `a` went into.
+
+        A memo point, or the first action after an update point or a
+        bracket, opens a new run node in `region`."""
+        if (isinstance(a, TMemo) or at.kind != "run"
+                or isinstance(at.actions[-1], TUpdate)):
+            node = TraceNode("run")
+            node.region = region
+            self.enclosing[node] = self._guard_after(at)
+            at = self._link_after(node, at)
+        idx = len(at.actions)
+        at.actions.append(a)
+        self.live_entries += 1
+        self.new_entries += 1
+        if isinstance(a, TRead):
+            self._hist(a.loc.id, a.off).insert(self.om, at, idx, "R", a.val)
+        elif isinstance(a, TWrite):
+            self._commit_write(at, idx, a)
+        elif isinstance(a, TMemo):
+            self.memo_index.setdefault((a.eid, a.env), []).append(at)
+        return at
+
+    def _guard_after(self, prev: TraceNode) -> Optional[TraceNode]:
+        """The update point guarding the reads of a run node linked after
+        `prev`: `prev` if it ends in one, else `prev`'s guard if it is a
+        run; a bracket or the head leaves the reads unguarded."""
+        if prev.kind != "run":
+            return None
+        if isinstance(prev.actions[-1], TUpdate):
+            return prev
+        return self.enclosing[prev]
 
     def _value_now(self, loc, off, key):
         if not isinstance(loc, Loc) or not isinstance(off, int):
@@ -702,12 +675,14 @@ class Runtime:
             return base_val
         return h.value_at(self.om, key, base_val)
 
-    def _repair_tail_guards(self, last_new: TraceNode,
-                            guard: Optional[TraceNode]) -> None:
-        """After a splice, reads in the surviving tail up to its first
-        update/boundary are guarded by the splice's trailing update."""
-        for n, i, _ in self._guarded_reads(last_new):
-            self.enclosing[(id(n), i)] = guard
+    def _repair_tail_guards(self, node: TraceNode) -> None:
+        """After a splice that ends before `node`, re-derive the guards of
+        the run nodes from `node` up to the first one ending in an update."""
+        while node.kind == "run":
+            self.enclosing[node] = self._guard_after(node.prev)
+            if isinstance(node.actions[-1], TUpdate):
+                return
+            node = node.next
 
     # -- propagation -------------------------------------------------------------
 
@@ -740,7 +715,7 @@ class Runtime:
             region = node.region
             region_end = region.partner if region is not None else self.tail
             self._session(env, act.expr, after=node, cursor=node.next,
-                          region=region, region_end=region_end, guard=node,
+                          region=region, region_end=region_end,
                           budget=budget)
         for loc, off in self.unguarded:
             h = self.histories.get((loc.id, off))
@@ -823,4 +798,4 @@ class Runtime:
 
 
 __all__ = ["OrderMaintenance", "OMHandle", "UseAfterDelete", "TraceNode",
-           "EntryHistory", "pack_runs", "Runtime", "FastResult"]
+           "EntryHistory", "Runtime", "FastResult"]

@@ -59,14 +59,14 @@ UNDO_TAGS = frozenset(["U.1", "U.2", "U.3", "U.4"])
 class Policy:
     """Resolves the machine's nondeterminism.
 
-    update_mode "dirty" re-evaluates an update point only when its lookahead
-    window contains an inconsistent read; "always" re-evaluates every update
-    point.  The optional choosers override the defaults (used by the schedule
-    enumerator): memo_chooser(match_found) decides whether to take an
-    available match, update_chooser(is_dirty) whether to re-evaluate.
+    By default the machine takes every available memo match and
+    re-evaluates an update point only when its lookahead window contains an
+    inconsistent read.  The optional choosers override these defaults:
+    memo_chooser(match_found) decides whether to take an available match,
+    update_chooser(is_dirty) whether to re-evaluate (so
+    `update_chooser=lambda dirty: True` re-evaluates every update point).
     """
 
-    update_mode: str = "dirty"  # "dirty" | "always"
     memo_chooser: Optional[Callable[[bool], bool]] = None
     update_chooser: Optional[Callable[[bool], bool]] = None
     # Save full environments at memo/update points instead of the
@@ -376,12 +376,9 @@ class TracingMachine:
             self.focus = tail
             return self._emit("P.4")
         if isinstance(a, TUpdate):
+            reeval = self.window_dirty(tail)
             if self.policy.update_chooser is not None:
-                reeval = self.policy.update_chooser(self.window_dirty(tail))
-            elif self.policy.update_mode == "always":
-                reeval = True
-            else:
-                reeval = self.window_dirty(tail)
+                reeval = self.policy.update_chooser(reeval)
             if reeval:
                 env = dict(a.env)
                 env.update((f, self.fun_index[f]) for f in a.fnames)
@@ -653,9 +650,7 @@ def enumerate_schedules(prog: A.Program, store: Store, bound: int = 2000,
         policy = Policy(memo_chooser=choose, update_chooser=choose)
         s = store.copy()
         if reuse is not None:
-            s.reserve(_max_loc_id(reuse))
-            m = TracingMachine(s, {}, PROP, reuse, fun_index=fun_index,
-                               live=live, policy=policy)
+            m = propagation_machine(prog, reuse, s, policy, live)
         else:
             m = TracingMachine(s, initial_env(prog, inputs), prog.entry,
                                None, fun_index=fun_index, live=live,

@@ -33,12 +33,6 @@ def _report(num: int, label: str, started: float, budget: float) -> None:
     assert elapsed <= budget, f"criterion {num} exceeded {budget}s budget"
 
 
-def _resolved(edits, labels):
-    return [(labels[e.label], e.offset,
-             labels[e.value[1:]] if isinstance(e.value, str) else e.value)
-            for e in edits]
-
-
 def test_criterion_1_golden_values():
     t0 = time.time()
     bench = exptrees_fixture()
@@ -237,7 +231,8 @@ def test_criterion_7_fast_engine_equivalence():
         apply_edits(s2, labels, edits)
         m = propagation_machine(prog, t1.trace, s2.copy())
         t2 = m.run(FUZZ_FUEL)
-        fast = rt.propagate(_resolved(edits, labels), fuel=FUZZ_FUEL)
+        fast = rt.propagate([e.resolve(labels) for e in edits],
+                            fuel=FUZZ_FUEL)
         assert canonicalize(t2.values, t2.trace, t2.store, s2) == \
             canonicalize(fast.values, fast.trace, fast.store, s2), key
         cv = cost_vector(t2.log)

@@ -68,8 +68,8 @@ def test_memo_update_envs_never_miss_a_needed_name(corpus):
         if bench.edit_slots:
             apply_edits(s2, labels,
                         gen_edits(3, s2, labels, bench.edit_slots, 2))
-        propagate(prog, t1.trace, s2,
-                  policy=Policy(update_mode="always"))  # re-evaluate all
+        propagate(prog, t1.trace, s2,  # re-evaluate every update point
+                  policy=Policy(update_chooser=lambda dirty: True))
 
 
 def test_dynamic_soundness_over_fuzz():
@@ -82,7 +82,7 @@ def test_dynamic_soundness_over_fuzz():
         apply_edits(s2, labels, gen_edits(seed, s2, labels,
                                           case.edit_slots, 1))
         propagate(prog, t1.trace, s2, fuel=800000,
-                  policy=Policy(update_mode="always"))
+                  policy=Policy(update_chooser=lambda dirty: True))
 
 
 def test_region_no_update_pure_region_is_true():

@@ -44,8 +44,7 @@ def test_runtime_repeated_edit_batches_match_faithful_chain():
         apply_edits(cumulative, labels, edits)
         m = propagation_machine(bench.program, trace, cumulative.copy())
         t2 = m.run()
-        fast = rt.propagate(
-            [(labels[e.label], e.offset, e.value) for e in edits])
+        fast = rt.propagate([e.resolve(labels) for e in edits])
         assert canonicalize(t2.values, t2.trace, t2.store, cumulative) == \
             canonicalize(fast.values, fast.trace, fast.store, cumulative), \
             round_no

@@ -1,5 +1,5 @@
-"""The efficient runtime: order maintenance, node packing, entry histories,
-dirtying, and full equivalence against the faithful machine."""
+"""The efficient runtime: order maintenance, node packing and guards, entry
+histories, dirtying, and full equivalence against the faithful machine."""
 
 import random
 
@@ -15,9 +15,9 @@ from sasm.fuzz import gen_edits, gen_program
 from sasm.parser import parse_program
 from sasm.refmachine import ref_run
 from sasm.runtime import (EntryHistory, OrderMaintenance, Runtime, TraceNode,
-                          UseAfterDelete, pack_runs)
-from sasm.store import Loc, Store
-from sasm.trace import TMemo, TRead, TUpdate, TWrite
+                          UseAfterDelete)
+from sasm.store import Store
+from sasm.trace import TMemo, TPop, TUpdate
 from sasm.tracing import (canonicalize, non_garbage, propagation_machine,
                           run_from_scratch)
 from sasm.wf import check_wf
@@ -177,31 +177,96 @@ def test_entry_history_against_a_sorted_list_oracle():
     assert groups > 3 and om.relabels > groups
 
 
-L = Loc(9)
+def _guards_by_walk(rt):
+    """Each live run node's guard, found by walking the trace from the head:
+    the nearest earlier run node that ends in an update, unless a bracket
+    comes between them."""
+    guards, guard = {}, None
+    n = rt.head.next
+    while n is not rt.tail:
+        if n.kind == "run":
+            guards[n] = guard
+            if isinstance(n.actions[-1], TUpdate):
+                guard = n
+        else:
+            guard = None
+        n = n.next
+    return guards
 
 
-def test_pack_straight_line_with_leading_memo_is_one_node():
-    m = TMemo(1, (), None)
-    stream = [m, TRead(1, L, 1), TWrite(2, L, 1)]
-    assert pack_runs(stream) == [stream]
+def _check_run_nodes(rt, where):
+    n = rt.head.next
+    while n is not rt.tail:
+        if n.kind == "run":
+            assert not any(isinstance(a, TMemo)
+                           for a in n.actions[1:]), where
+            assert not any(isinstance(a, (TUpdate, TPop))
+                           for a in n.actions[:-1]), where
+            # Maximal packing: only a memo point starts a run node that
+            # follows another run node without an update or pop between.
+            if n.next.kind == "run" and \
+                    not isinstance(n.actions[-1], (TUpdate, TPop)):
+                assert isinstance(n.next.actions[0], TMemo), where
+        n = n.next
+    # One guard per live run node, the one the trace order determines.
+    assert rt.enclosing == _guards_by_walk(rt), where
 
 
-def test_pack_memo_must_be_first():
-    m = TMemo(1, (), None)
-    r = TRead(1, L, 1)
-    assert pack_runs([r, m]) == [[r], [m]]
+def test_run_nodes_are_packed_maximally_and_guarded_by_trace_order(corpus):
+    cases = [(b.name, b.program if b.native_csa
+              else dps_convert_program(b.program), b.build(), b.edit_slots)
+             for b in corpus]
+    for seed in range(40):
+        case = gen_program(seed)
+        cases.append((seed, dps_convert_program(case.program), case.build(),
+                      case.edit_slots))
+    for name, prog, (store, labels, inputs), slots in cases:
+        rt = Runtime(prog, store.copy(), inputs=inputs, fuel=400000)
+        _check_run_nodes(rt, (name, "build"))
+        if not slots:
+            continue
+        host = store.copy()
+        for batch in range(6):
+            edits = gen_edits(1000 + batch, host, labels, slots, 2)
+            apply_edits(host, labels, edits)
+            rt.propagate([e.resolve(labels) for e in edits])
+            _check_run_nodes(rt, (name, batch))
 
 
-def test_pack_update_ends_its_run():
-    u = TUpdate(1, (), None)
-    r1, r2 = TRead(1, L, 1), TRead(2, L, 2)
-    assert pack_runs([r1, u, r2]) == [[r1, u], [r2]]
+def test_a_memo_match_repairs_guards_up_to_the_next_update():
+    # Editing c re-evaluates the outer update and retires the inner one,
+    # which guarded both the matched memo node [M1] and the node
+    # [M2, R d, pop] after it; both must take the new inner update.
+    prog = parse_program("""
+input c
+input d
+input out
 
-
-def _resolved(edits, labels):
-    return [(labels[e.label], e.offset,
-             labels[e.value[1:]] if isinstance(e.value, str) else e.value)
-            for e in edits]
+update
+  let x = read(c, 1) in
+  let w = write(out, 1, x) in
+  update
+    memo
+      memo
+        let z = read(d, 1) in
+        pop(z)
+arity 1
+""")
+    store = Store()
+    c, d, out = store.alloc(1), store.alloc(1), store.alloc(1)
+    for loc, v in ((c, 1), (d, 2), (out, 0)):
+        store.write(loc, 1, v)
+    inputs = {"c": c, "d": d, "out": out}
+    t1 = run_from_scratch(prog, store.copy(), inputs=inputs)
+    rt = Runtime(prog, store.copy(), inputs=inputs)
+    fast = rt.propagate([(c, 1, 5)])
+    assert fast.matches == 1
+    _check_run_nodes(rt, "after the match")
+    s2 = store.copy()
+    s2.write(c, 1, 5)
+    t2 = propagation_machine(prog, t1.trace, s2.copy()).run()
+    assert canonicalize(t2.values, t2.trace, t2.store, s2) == \
+        canonicalize(fast.values, fast.trace, fast.store, s2)
 
 
 def test_mark_dirty_untouched_entry_enqueues_nothing():
@@ -255,7 +320,8 @@ def test_exptrees_dps_rebuild_exact_update_set():
     m = propagation_machine(prog, t1.trace, s2.copy())
     t2 = m.run()
     rt = Runtime(prog, store.copy(), inputs=inputs)
-    fast = rt.propagate(_resolved(bench.fixture_edits["lower"], labels))
+    fast = rt.propagate([e.resolve(labels)
+                          for e in bench.fixture_edits["lower"]])
     assert len(fast.reevaluated) == t2.log.count("P.E") == 2
 
 
@@ -276,7 +342,7 @@ def test_fast_equivalence_corpus(corpus):
         apply_edits(s2, labels, edits)
         m = propagation_machine(prog, t1.trace, s2.copy())
         t2 = m.run()
-        fast = rt.propagate(_resolved(edits, labels))
+        fast = rt.propagate([e.resolve(labels) for e in edits])
         assert canonicalize(t2.values, t2.trace, t2.store, s2) == \
             canonicalize(fast.values, fast.trace, fast.store, s2), bench.name
         cv = cost_vector(t2.log)
@@ -297,7 +363,7 @@ def test_fast_equivalence_fuzz_batch():
         apply_edits(s2, labels, edits)
         m = propagation_machine(prog, t1.trace, s2.copy())
         t2 = m.run(400000)
-        fast = rt.propagate(_resolved(edits, labels), fuel=400000)
+        fast = rt.propagate([e.resolve(labels) for e in edits], fuel=400000)
         assert canonicalize(t2.values, t2.trace, t2.store, s2) == \
             canonicalize(fast.values, fast.trace, fast.store, s2), seed
         cv = cost_vector(t2.log)
@@ -317,7 +383,7 @@ def test_list_sum_fast_realized_not_worse_than_faithful():
     m = propagation_machine(bench.program, t1.trace, s2.copy())
     t2 = m.run()
     faithful_realized = cost_vector(t2.log).realized
-    fast = rt.propagate(_resolved(edits, labels))
+    fast = rt.propagate([e.resolve(labels) for e in edits])
     assert fast.realized <= faithful_realized
     assert fast.values == t2.values
 
@@ -328,7 +394,7 @@ def test_garbage_retirement_bounded_removals():
     store, labels, inputs = bench.build()
     edits = bench.fixture_edits["lower"]
     rt = Runtime(prog, store.copy(), inputs=inputs)
-    fast = rt.propagate(_resolved(edits, labels))
+    fast = rt.propagate([e.resolve(labels) for e in edits])
     assert rt.entry_removals  # allocations were retired
     assert all(n <= 2 for n in rt.entry_removals.values())
     # No entry of a retired location keeps a history.
@@ -349,7 +415,7 @@ def test_soak_list_map_keeps_updates_last_and_no_garbage_histories():
     for batch in range(1, 41):
         edits = gen_edits(100 + batch, host, labels, bench.edit_slots, 1)
         apply_edits(host, labels, edits)
-        fast = rt.propagate(_resolved(edits, labels))
+        fast = rt.propagate([e.resolve(labels) for e in edits])
         assert not {lid for lid, _ in rt.histories} & rt.base.garbage, batch
         assert rt.live_entries == len(rt.flat_trace()), batch
         n = rt.head.next
@@ -387,7 +453,7 @@ def test_propagate_never_walks_the_whole_trace(monkeypatch):
         with monkeypatch.context() as m:
             for name in ("flat_trace", "build_trace", "build_store"):
                 m.setattr(Runtime, name, forbidden(name))
-            fast = rt.propagate(_resolved(edits, labels))
+            fast = rt.propagate([e.resolve(labels) for e in edits])
             seen = (fast.values, fast.realized, fast.prop_equivalent)
         cv = cost_vector(t2.log)
         assert seen == (t2.values, cv.realized, cv.tracing[1]), bench.name
