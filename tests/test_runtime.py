@@ -17,7 +17,7 @@ from sasm.refmachine import ref_run
 from sasm.runtime import (EntryHistory, OrderMaintenance, Runtime, TraceNode,
                           UseAfterDelete)
 from sasm.store import Store
-from sasm.trace import TMemo, TPop, TUpdate
+from sasm.trace import TMemo, TPop, TRead, TUpdate, TWrite
 from sasm.tracing import (canonicalize, non_garbage, propagation_machine,
                           run_from_scratch)
 from sasm.wf import check_wf
@@ -175,6 +175,47 @@ def test_entry_history_against_a_sorted_list_oracle():
     while g is not None:
         groups, g = groups + 1, g.next
     assert groups > 3 and om.relabels > groups
+
+
+def _run_shapes(body):
+    """The action types of each trace node the Runtime builds for `body`,
+    a program over one-cell inputs c = 1, d = 2 and out = 0."""
+    prog = parse_program("input c\ninput d\ninput out\n\n" + body +
+                         "\narity 1\n")
+    store = Store()
+    c, d, out = store.alloc(1), store.alloc(1), store.alloc(1)
+    for loc, v in ((c, 1), (d, 2), (out, 0)):
+        store.write(loc, 1, v)
+    rt = Runtime(prog, store, inputs={"c": c, "d": d, "out": out})
+    shapes, n = [], rt.head.next
+    while n is not rt.tail:
+        shapes.append([type(a) for a in n.actions] if n.kind == "run"
+                      else n.kind)
+        n = n.next
+    return shapes
+
+
+def test_pack_straight_line_with_leading_memo_is_one_node():
+    assert _run_shapes("""
+memo
+  let x = read(c, 1) in
+  let w = write(out, 1, x) in
+  pop(x)""") == [[TMemo, TRead, TWrite, TPop]]
+
+
+def test_pack_memo_must_be_first():
+    assert _run_shapes("""
+let x = read(c, 1) in
+memo
+  pop(x)""") == [[TRead], [TMemo, TPop]]
+
+
+def test_pack_update_ends_its_run():
+    assert _run_shapes("""
+let x = read(c, 1) in
+update
+  let y = read(d, 1) in
+  pop(y)""") == [[TRead, TUpdate], [TRead, TPop]]
 
 
 def _guards_by_walk(rt):
