@@ -139,10 +139,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _resolve_edits(edits, labels):
-    return [e.resolve(labels) for e in edits]
-
-
 def cmd_propagate(args) -> int:
     fuel = fuel_of(args)
     lp = load_program(args.file, args.build, fuel)
@@ -154,7 +150,8 @@ def cmd_propagate(args) -> int:
         store = base.copy()
         if engine == "fast":
             rt = Runtime(lp.program, store, inputs=lp.inputs, fuel=fuel)
-            fast = rt.propagate(_resolve_edits(edits, lp.labels), fuel=fuel)
+            fast = rt.propagate([e.resolve(lp.labels) for e in edits],
+                                fuel=fuel)
             results[engine] = (fast.values, fast.store, fast.trace,
                                fast.realized)
         else:
@@ -274,7 +271,8 @@ def cmd_bench(args) -> int:
         apply_edits(s2, labels, edits)
         if args.engine == "fast":
             rt = Runtime(bench.program, store.copy(), inputs=inputs, fuel=fuel)
-            fast = rt.propagate(_resolve_edits(edits, labels), fuel=fuel)
+            fast = rt.propagate([e.resolve(labels) for e in edits],
+                                fuel=fuel)
             realized_total += fast.realized
             matches_total += fast.matches
         else:
@@ -350,7 +348,8 @@ def cmd_check(args) -> int:
     report("garbage-unreachable", check_garbage_unreachable(t2))
     try:
         rt = Runtime(prog, lp.store.copy(), inputs=lp.inputs, fuel=fuel)
-        fast = rt.propagate(_resolve_edits(edits, lp.labels), fuel=fuel)
+        fast = rt.propagate([e.resolve(lp.labels) for e in edits],
+                            fuel=fuel)
         report("fast-vs-faithful",
                canonicalize(fast.values, fast.trace, fast.store, s2)
                == canonicalize(t2.values, t2.trace, t2.store, s2))

@@ -18,11 +18,12 @@ indexed as soon as it is traced.  Every read of a run node has the same
 guard (the update point whose re-evaluation re-runs it), so guards are kept
 per node.
 
-Timestamps do the heavy lifting: new nodes are inserted between the
-re-evaluated update point and the doomed old interval, so a history lookup
-at a new node's time sees exactly the store the faithful machine would see
-at that replay moment (earlier writes included, unreplayed and later writes
-excluded).
+The trace is its own order-maintenance list: a node's integer label is its
+timestamp.  Timestamps do the heavy lifting: new nodes are inserted between
+the re-evaluated update point and the doomed old interval, so a history
+lookup at a new node's time sees exactly the store the faithful machine
+would see at that replay moment (earlier writes included, unreplayed and
+later writes excluded).
 
 A propagation costs what changed, not the whole run: its result carries the
 values and counts, kept up to date as nodes are linked and unlinked, and
@@ -59,132 +60,100 @@ class UseAfterDelete(Exception):
 
 
 class OMHandle:
-    __slots__ = ("group", "sub", "alive")
+    """An item of an order-maintenance list; its integer label orders it."""
 
-    def __init__(self, group, sub):
-        self.group = group
-        self.sub = sub
+    __slots__ = ("label", "prev", "next", "alive")
+
+    def __init__(self):
+        self.label = 0
+        self.prev: Optional[OMHandle] = None
+        self.next: Optional[OMHandle] = None
         self.alive = True
 
 
-class _Group:
-    __slots__ = ("label", "items", "prev", "next")
-
-    def __init__(self, label: int):
-        self.label = label
-        self.items: list[OMHandle] = []
-        self.prev: Optional[_Group] = None
-        self.next: Optional[_Group] = None
-
-
-_SUBGAP = 1 << 20
-_GROUPGAP = 1 << 26
-_GROUP_CAP = 64
+_GAP = 1 << 61  # the room after the last item
 
 
 class OrderMaintenance:
-    """Two-level list labeling (Dietz-Sleator style): groups carry integer
-    labels, items carry sub-labels; comparison is label-pair comparison,
-    insertion relabels locally and splits groups on overflow."""
+    """One-level list labeling (Dietz & Sleator, STOC 1987) over a doubly
+    linked list of handles; comparison is label comparison.
 
-    def __init__(self):
-        g = _Group(0)
-        self._first_group = g
-        origin = OMHandle(g, 0)
-        g.items.append(origin)
-        self._origin = origin
+    An insert takes the middle of the gap after its predecessor.  With no
+    gap left it first spreads the predecessor's j successors evenly, up to
+    the first successor whose label is more than j*j above the
+    predecessor's (or, past the last item, _GAP apart)."""
+
+    def __init__(self, origin: Optional[OMHandle] = None):
+        self._origin = origin if origin is not None else OMHandle()
         self.relabels = 0
 
     def origin(self) -> OMHandle:
         return self._origin
 
-    def insert_after(self, h: OMHandle) -> OMHandle:
+    def insert_after(self, h: OMHandle,
+                     new: Optional[OMHandle] = None) -> OMHandle:
+        """Link `new` (a fresh handle if None) right after `h`."""
         if not h.alive:
             raise UseAfterDelete("insert after a deleted handle")
-        g = h.group
-        i = g.items.index(h)
-        nxt_sub = (g.items[i + 1].sub if i + 1 < len(g.items)
-                   else h.sub + 2 * _SUBGAP)
-        sub = (h.sub + nxt_sub) // 2
-        if sub == h.sub:
-            self._relabel_group(g)
-            return self.insert_after(h)
-        new = OMHandle(g, sub)
-        g.items.insert(i + 1, new)
-        if len(g.items) > _GROUP_CAP:
-            self._split_group(g)
+        nxt = h.next
+        if nxt is not None and nxt.label - h.label < 2:
+            self._spread(h)
+        top = nxt.label if nxt is not None else h.label + _GAP
+        if new is None:
+            new = OMHandle()
+        new.label = (h.label + top) // 2
+        new.prev, new.next = h, nxt
+        h.next = new
+        if nxt is not None:
+            nxt.prev = new
         return new
 
     def delete(self, h: OMHandle) -> None:
         if not h.alive:
             raise UseAfterDelete("double delete")
         h.alive = False
-        h.group.items.remove(h)
+        if h.prev is not None:
+            h.prev.next = h.next
+        if h.next is not None:
+            h.next.prev = h.prev
 
     def compare(self, a: OMHandle, b: OMHandle) -> int:
         ka, kb = self.key(a), self.key(b)
         return -1 if ka < kb else (1 if ka > kb else 0)
 
-    def key(self, h: OMHandle) -> tuple[int, int]:
+    def key(self, h: OMHandle) -> int:
         if not h.alive:
             raise UseAfterDelete("use of a deleted handle")
-        return (h.group.label, h.sub)
+        return h.label
 
-    def _relabel_group(self, g: _Group) -> None:
+    def _spread(self, h: OMHandle) -> None:
         self.relabels += 1
-        for k, item in enumerate(g.items):
-            item.sub = k * _SUBGAP
-
-    def _split_group(self, g: _Group) -> None:
-        self.relabels += 1
-        half = len(g.items) // 2
-        moved = g.items[half:]
-        del g.items[half:]
-        if g.next is None:
-            label = g.label + 2 * _GROUPGAP
-        else:
-            label = (g.label + g.next.label) // 2
-            if label == g.label:
-                self._renumber_groups()
-                label = (g.label + g.next.label) // 2
-        ng = _Group(label)
-        ng.items = moved
-        for k, item in enumerate(moved):
-            item.group = ng
-            item.sub = k * _SUBGAP
-        ng.prev, ng.next = g, g.next
-        if g.next is not None:
-            g.next.prev = ng
-        g.next = ng
-
-    def _renumber_groups(self) -> None:
-        self.relabels += 1
-        g = self._first_group
-        label = 0
-        while g is not None:
-            g.label = label
-            label += 2 * _GROUPGAP
-            g = g.next
+        base = h.label
+        j, s = 1, h.next
+        while s is not None and s.label - base <= j * j:
+            s, j = s.next, j + 1
+        width = s.label - base if s is not None else j * _GAP
+        s = h.next
+        for k in range(1, j):
+            s.label = base + k * width // j
+            s = s.next
 
 
 # -- trace nodes -------------------------------------------------------------
 
 
-class TraceNode:
+class TraceNode(OMHandle):
     """One timestamp shared by a run of consecutive actions, or a region
-    bracket; nodes form a doubly-linked list in trace order."""
+    bracket.  The trace is the Runtime's order-maintenance list: a node's
+    label is its timestamp, and a retired node is no longer alive."""
 
-    __slots__ = ("kind", "actions", "ts", "prev", "next", "region",
-                 "retired", "partner", "queued")
+    __slots__ = ("kind", "actions", "region", "partner", "queued")
 
     def __init__(self, kind: str):
+        super().__init__()
         self.kind = kind  # "run" | "begin" | "end" | "head" | "tail"
         self.actions: list = []
-        self.ts: OMHandle = None  # type: ignore[assignment]
-        self.prev: Optional["TraceNode"] = None
-        self.next: Optional["TraceNode"] = None
         self.region: Optional["TraceNode"] = None  # innermost begin node
-        self.retired = False
         self.partner: Optional["TraceNode"] = None  # begin<->end
         self.queued = False  # an update node waiting in Runtime.queue
 
@@ -203,7 +172,7 @@ class TraceNode:
 def _by_time(om: OrderMaintenance):
     """The sort key of an entry-history event: its node's timestamp, then
     its index in the node."""
-    return lambda ev: (*om.key(ev[0].ts), ev[1])
+    return lambda ev: (om.key(ev[0]), ev[1])
 
 
 class EntryHistory:
@@ -224,7 +193,7 @@ class EntryHistory:
 
     def remove(self, om, node, idx) -> bool:
         events = self.events
-        k = bisect_left(events, (*om.key(node.ts), idx), key=_by_time(om))
+        k = bisect_left(events, (om.key(node), idx), key=_by_time(om))
         if k < len(events) and events[k][0] is node and events[k][1] == idx:
             del events[k]
             return True
@@ -283,7 +252,7 @@ class _SessionStore:
     def read(self, loc, off) -> MachineValue:
         rt = self.rt
         # Index 1 << 40 places the key after every action of `at`.
-        v = rt._value_now(loc, off, (*rt.om.key(self.at.ts), 1 << 40))
+        v = rt._value_now(loc, off, (rt.om.key(self.at), 1 << 40))
         if v is None or v is UNINIT:
             raise StuckRead(f"read of {loc!r}[{off!r}] unavailable")
         return v
@@ -338,7 +307,7 @@ class FastResult:
         return self._read("trace", self.runtime.build_trace)
 
 
-MINKEY = (-1, -1, -1)
+MINKEY = (-1, -1)
 
 
 class Runtime:
@@ -351,13 +320,10 @@ class Runtime:
         self.live = live if live is not None else live_vars(prog)
         self.fun_index = prog.fun_index()
         self.base = store
-        self.om = OrderMaintenance()
         self.fuel = fuel
         self.head = TraceNode("head")
-        self.tail = TraceNode("tail")
-        self.head.next, self.tail.prev = self.tail, self.head
-        self.head.ts = self.om.origin()
-        self.tail.ts = self.om.insert_after(self.head.ts)
+        self.om = OrderMaintenance(origin=self.head)
+        self.tail = self.om.insert_after(self.head, TraceNode("tail"))
         self.histories: dict[tuple[int, int], EntryHistory] = {}
         self.memo_index: dict[tuple, list[TraceNode]] = {}
         self.queue: list[TraceNode] = []  # update nodes in trace order
@@ -381,26 +347,18 @@ class Runtime:
     # -- linked-list and indexing helpers --------------------------------------
 
     def _link_after(self, node: TraceNode, prev: TraceNode) -> TraceNode:
-        node.prev = prev
-        node.next = prev.next
-        prev.next.prev = node
-        prev.next = node
-        node.ts = self.om.insert_after(prev.ts)
         self.live_entries += node.entries()
         self.new_entries += node.entries()
-        return node
+        return self.om.insert_after(prev, node)
 
     def _unlink(self, node: TraceNode) -> None:
         if node.queued:
             # Off the queue while its timestamp can still be compared.
-            k = bisect_left(self.queue, self._ts_key(node), key=self._ts_key)
+            k = bisect_left(self.queue, self.om.key(node), key=self.om.key)
             assert self.queue[k] is node
             del self.queue[k]
             node.queued = False
-        node.prev.next = node.next
-        node.next.prev = node.prev
-        node.retired = True
-        self.om.delete(node.ts)
+        self.om.delete(node)
         self.live_entries -= node.entries()
 
     def _hist(self, lid: int, off: int) -> EntryHistory:
@@ -410,10 +368,7 @@ class Runtime:
         return h
 
     def _pos_key(self, node: TraceNode, idx: int):
-        return (*self.om.key(node.ts), idx)
-
-    def _ts_key(self, node: TraceNode):
-        return self.om.key(node.ts)
+        return (self.om.key(node), idx)
 
     # -- queue ------------------------------------------------------------------
 
@@ -423,7 +378,7 @@ class Runtime:
         if node.queued:
             return False
         node.queued = True
-        insort(self.queue, node, key=self._ts_key)
+        insort(self.queue, node, key=self.om.key)
         return True
 
     def _enqueue_reader(self, node: TraceNode, idx: int) -> list:
@@ -434,7 +389,7 @@ class Runtime:
             act = node.actions[idx]
             self.unguarded.append((act.loc, act.off))
             return []
-        if enc.retired:
+        if not enc.alive:
             return []
         return [enc] if self._enqueue(enc) else []
 
@@ -487,7 +442,7 @@ class Runtime:
                 self.entry_removals[(a.loc.id, off)] = int(h is not None)
                 if h is not None:
                     for rn, ri, kind, _ in h.events:
-                        if kind == "R" and not rn.retired:
+                        if kind == "R" and rn.alive:
                             self._enqueue_reader(rn, ri)
             self.base.mark_garbage(a.loc)
         elif isinstance(a, TRead):
@@ -527,13 +482,13 @@ class Runtime:
         cands = self.memo_index.get((memo.eid, var_items))
         if not cands:
             return None
-        lo = self.om.key(cursor.ts)
-        hi = self.om.key(region_end.ts)
+        lo = self.om.key(cursor)
+        hi = self.om.key(region_end)
         best = None
         for node in cands:
             if node.region is not region:
                 continue
-            key = self.om.key(node.ts)
+            key = self.om.key(node)
             if lo <= key < hi and (best is None or key < best[0]):
                 best = (key, node)
         return best[1] if best else None
@@ -543,20 +498,21 @@ class Runtime:
 
     # -- window check (shared definition with the faithful policy) -----------------
 
-    def window_dirty(self, node: TraceNode) -> bool:
-        """Dirty iff a read between the update ending `node` and the next
-        update/push/pop boundary disagrees with the history at its time."""
+    def window_dirty(self, node: TraceNode) -> Optional[tuple]:
+        """The first read between the update ending `node` and the next
+        update/push/pop boundary that disagrees with the history at its
+        time, as (read, value now); None when the window is clean."""
         n = node.next
         while n.kind == "run":
             for i, a in enumerate(n.actions):
                 if isinstance(a, (TUpdate, TPop)):
-                    return False
+                    return None
                 if isinstance(a, TRead):
                     cur = self._value_now(a.loc, a.off, self._pos_key(n, i))
                     if cur is None or cur is UNINIT or cur != a.val:
-                        return True
+                        return a, cur
             n = n.next
-        return False
+        return None
 
     # -- the evaluation session ------------------------------------------------------
 
@@ -598,6 +554,7 @@ class Runtime:
                         self.eval_steps += 1  # E.P
                         self._retire_interval(cursor, m)
                         self._repair_tail_guards(m)
+                        self._check_matched_window(m)
                         return
                 _, action, env, command = step(view, env, e, self._saved)
                 view.at = self._record(view.at, action, regions[-1])
@@ -684,6 +641,19 @@ class Runtime:
                 return
             node = node.next
 
+    def _check_matched_window(self, m: TraceNode) -> None:
+        """The faithful machine replays the matched tail from `m`, so a
+        read there before the next update that disagrees with the store
+        gets it stuck, as S.2 if the entry is unavailable, else P.2."""
+        dirty = self.window_dirty(m.prev)
+        if dirty is None:
+            return
+        a, cur = dirty
+        if cur is None or cur is UNINIT:
+            raise StuckRead(f"read of {a.loc!r}[{a.off!r}] unavailable")
+        raise Stuck("P.2", f"read of {a.loc!r}[{a.off}] sees {cur!r}, "
+                           f"trace recorded {a.val!r}")
+
     # -- propagation -------------------------------------------------------------
 
     def propagate(self, edits: list[tuple[Loc, int, MachineValue]],
@@ -723,7 +693,7 @@ class Runtime:
                 continue
             base_val = self.base.peek(loc, off)
             for rn, ri, recorded in h.readers_after(self.om, MINKEY):
-                if not rn.retired and recorded != base_val:
+                if rn.alive and recorded != base_val:
                     raise Stuck("P.2", f"read of {loc!r}[{off}] sees "
                                        f"{base_val!r}, trace recorded "
                                        f"{recorded!r} (no enclosing update)")

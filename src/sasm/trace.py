@@ -111,10 +111,6 @@ class TraceZipper:
 
 # -- chain helpers ------------------------------------------------------
 
-def cons(head, tail):
-    return (head, tail)
-
-
 def from_list(actions: list) -> Trace:
     t: Trace = None
     for a in reversed(actions):
@@ -301,7 +297,7 @@ __all__ = [
     "TAlloc", "TRead", "TWrite", "TMemo", "TUpdate", "TPush", "TPop",
     "Action", "Trace", "Ctx", "TraceZipper", "PUSH_MARK", "PropMark",
     "UndoMark", "Blocked", "RewindResult", "rewind_step", "rewind_to_mark",
-    "check_okay", "cons", "from_list", "to_list", "iter_chain",
+    "check_okay", "from_list", "to_list", "iter_chain",
     "action_count", "ctx_action_count", "last_action",
     "dump", "dump_lines",
 ]

@@ -125,8 +125,9 @@ def test_bench_row(capsys):
     assert "from_scratch_steps=" in out and "avg_realized=" in out
 
 
-def test_fuzz_command(capsys):
-    assert main(["fuzz", "--seeds", "0..19", "--prop", "consistency"]) == 0
+@pytest.mark.parametrize("prop", ["consistency", "fastvsfaithful"])
+def test_fuzz_command(capsys, prop):
+    assert main(["fuzz", "--seeds", "0..19", "--prop", prop]) == 0
     assert "failures=0" in capsys.readouterr().out
 
 

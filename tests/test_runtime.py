@@ -86,6 +86,22 @@ def test_om_randomized_against_naive_list_oracle():
         assert om.compare(a, b) == -1
 
 
+def test_om_inserts_before_a_sentinel():
+    # The Runtime builds a trace this way: each node after the last one,
+    # before the fixed tail.
+    om = OrderMaintenance()
+    prev = om.origin()
+    sentinel = om.insert_after(prev)
+    handles = [prev]
+    for _ in range(100_000):
+        prev = om.insert_after(prev)
+        handles.append(prev)
+    handles.append(sentinel)
+    for a, b in zip(handles, handles[1:]):
+        assert om.compare(a, b) == -1
+    assert om.relabels <= 100_000 // 32
+
+
 def test_naive_order_matches_a_plain_list():
     # Phases that grow and then shrink the order, with a small chunk cap, so
     # chunks split and emptied chunks are dropped many times.
@@ -115,12 +131,11 @@ def test_naive_order_matches_a_plain_list():
 
 
 def test_entry_history_against_a_sorted_list_oracle():
-    # Nodes are inserted often right after the first few, so sub-labels run
-    # out and groups overflow: the events are looked up across relabels.
+    # Nodes are inserted often right after the first few, so labels run out
+    # and successors are spread: the events are looked up across relabels.
     rng = random.Random(3)
-    om = OrderMaintenance()
-    head = TraceNode("head")
-    head.ts = om.origin()
+    om = OrderMaintenance(origin=TraceNode("head"))
+    head = om.origin()
     order = [head]  # the true node order, as a plain list
     rank = {head: 0}
     h = EntryHistory()
@@ -130,14 +145,14 @@ def test_entry_history_against_a_sorted_list_oracle():
         return (rank[node], idx)
 
     def key(node, idx):
-        return (*om.key(node.ts), idx)
+        return (om.key(node), idx)
 
     for _ in range(1200):
         r = rng.random()
         if r < 0.4 or len(order) < 2:
             after = rng.choice(order[:3] if rng.random() < 0.5 else order)
             node = TraceNode("run")
-            node.ts = om.insert_after(after.ts)
+            om.insert_after(after, node)
             order.insert(order.index(after) + 1, node)
             rank = {n: k for k, n in enumerate(order)}
         elif r < 0.85 or not events:
@@ -171,10 +186,7 @@ def test_entry_history_against_a_sorted_list_oracle():
                     break
                 readers.append((ev[0], ev[1], ev[3]))
             assert h.readers_after(om, key(node, idx)) == readers
-    groups, g = 0, om._first_group
-    while g is not None:
-        groups, g = groups + 1, g.next
-    assert groups > 3 and om.relabels > groups
+    assert om.relabels > 3
 
 
 def _run_shapes(body):
@@ -251,6 +263,14 @@ def _check_run_nodes(rt, where):
         n = n.next
     # One guard per live run node, the one the trace order determines.
     assert rt.enclosing == _guards_by_walk(rt), where
+    # The trace is its own order-maintenance list: live, linked both ways,
+    # labels increasing.
+    n = rt.head
+    while n is not rt.tail:
+        assert n.alive and n.next.prev is n, where
+        assert n.label < n.next.label, where
+        n = n.next
+    assert n.alive, where
 
 
 def test_run_nodes_are_packed_maximally_and_guarded_by_trace_order(corpus):
@@ -274,11 +294,7 @@ def test_run_nodes_are_packed_maximally_and_guarded_by_trace_order(corpus):
             _check_run_nodes(rt, (name, batch))
 
 
-def test_a_memo_match_repairs_guards_up_to_the_next_update():
-    # Editing c re-evaluates the outer update and retires the inner one,
-    # which guarded both the matched memo node [M1] and the node
-    # [M2, R d, pop] after it; both must take the new inner update.
-    prog = parse_program("""
+_NESTED_MEMO = """
 input c
 input d
 input out
@@ -292,12 +308,25 @@ update
         let z = read(d, 1) in
         pop(z)
 arity 1
-""")
+"""
+
+
+def _nested_memo_case():
+    """_NESTED_MEMO with its inputs c = 1, d = 2 and out = 0."""
+    prog = parse_program(_NESTED_MEMO)
     store = Store()
     c, d, out = store.alloc(1), store.alloc(1), store.alloc(1)
     for loc, v in ((c, 1), (d, 2), (out, 0)):
         store.write(loc, 1, v)
-    inputs = {"c": c, "d": d, "out": out}
+    return prog, store, {"c": c, "d": d, "out": out}
+
+
+def test_a_memo_match_repairs_guards_up_to_the_next_update():
+    # Editing c re-evaluates the outer update and retires the inner one,
+    # which guarded both the matched memo node [M1] and the node
+    # [M2, R d, pop] after it; both must take the new inner update.
+    prog, store, inputs = _nested_memo_case()
+    c = inputs["c"]
     t1 = run_from_scratch(prog, store.copy(), inputs=inputs)
     rt = Runtime(prog, store.copy(), inputs=inputs)
     fast = rt.propagate([(c, 1, 5)])
@@ -308,6 +337,26 @@ arity 1
     t2 = propagation_machine(prog, t1.trace, s2.copy()).run()
     assert canonicalize(t2.values, t2.trace, t2.store, s2) == \
         canonicalize(fast.values, fast.trace, fast.store, s2)
+
+
+@pytest.mark.parametrize("edits", [{"d": 7}, {"c": 5, "d": 7}],
+                         ids=["d", "c-and-d"])
+def test_a_read_after_a_memo_match_is_checked_before_the_next_update(edits):
+    # The update guarding read(d, 1) re-evaluates straight into a memo
+    # match, so the read is replayed, not re-run: both engines get stuck
+    # on its new value.
+    prog, store, inputs = _nested_memo_case()
+    edits = [(inputs[name], 1, v) for name, v in edits.items()]
+    t1 = run_from_scratch(prog, store.copy(), inputs=inputs)
+    s2 = store.copy()
+    for loc, off, v in edits:
+        s2.write(loc, off, v)
+    with pytest.raises(Stuck) as faithful:
+        propagation_machine(prog, t1.trace, s2).run()
+    rt = Runtime(prog, store.copy(), inputs=inputs)
+    with pytest.raises(Stuck) as fast:
+        rt.propagate(edits)
+    assert faithful.value.family == fast.value.family == "P.2"
 
 
 def test_mark_dirty_untouched_entry_enqueues_nothing():
