@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import ilast as A
 from .analyses import live_vars, region_no_update
@@ -27,11 +28,12 @@ from .fuzz import gen_edits, gen_program
 from .parser import parse_program_with_warnings
 from .printer import print_program
 from .refmachine import ref_run
-from .runtime import Runtime
+from .runtime import FastResult, Runtime
 from .store import Loc, Store, fmt_value
 from .trace import dump
-from .tracing import (canonicalize, check_garbage_unreachable, non_garbage,
-                      propagation_machine, run_from_scratch)
+from .tracing import (canonical_result, canonicalize,
+                      check_garbage_unreachable, non_garbage, propagate,
+                      run_from_scratch)
 from .wf import check_wf
 
 
@@ -53,7 +55,7 @@ class LoadedProgram:
 
 def load_program(path: str, build: str | None = None,
                  fuel: int = DEFAULT_FUEL) -> LoadedProgram:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     prog, warnings = parse_program_with_warnings(text)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -70,8 +72,7 @@ def load_program(path: str, build: str | None = None,
         if os.path.exists(cand):
             builder_path = cand
     if builder_path:
-        btext = open(builder_path).read()
-        bprog, _ = parse_program_with_warnings(btext)
+        bprog, _ = parse_program_with_warnings(Path(builder_path).read_text())
         bdiags = check_wf(bprog)
         if bdiags:
             raise CliError(f"ill-formed builder {builder_path}:\n  " +
@@ -89,9 +90,7 @@ def load_program(path: str, build: str | None = None,
 
 
 def parse_edits_args(args, labels) -> list[Edit]:
-    edits: list[Edit] = []
-    for line in args.edit or []:
-        edits.append(parse_edit_line(line))
+    edits = [parse_edit_line(line) for line in args.edit or []]
     if getattr(args, "edits", None):
         with open(args.edits) as fh:
             for line in fh:
@@ -139,50 +138,63 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _edited(store: Store, labels: dict, edits: list[Edit]) -> Store:
+    """A copy of `store` with `edits` applied."""
+    edited = store.copy()
+    apply_edits(edited, labels, edits)
+    return edited
+
+
+def _fast(prog, store, labels, inputs, edits, fuel) -> FastResult:
+    """The fast engine: build a Runtime on a copy of `store`, then propagate
+    the edits through it."""
+    rt = Runtime(prog, store.copy(), inputs=inputs, fuel=fuel)
+    return rt.propagate([e.resolve(labels) for e in edits], fuel=fuel)
+
+
+def _faithful(prog, store, edited, inputs, fuel):
+    """The faithful engine: run from scratch on a copy of `store`, then
+    propagate that trace over a copy of the edited store."""
+    t1 = run_from_scratch(prog, store.copy(), inputs=inputs, fuel=fuel)
+    return propagate(prog, t1.trace, edited.copy(), fuel)
+
+
+def _rerun(prog, edited, inputs, fuel):
+    """A fresh run on the edited store's live locations."""
+    return run_from_scratch(prog, non_garbage(edited), inputs=inputs,
+                            fuel=fuel)
+
+
+def _agree(a, b, edited: Store) -> bool:
+    """Equal observables (values, trace, live store) up to allocation
+    renaming; `edited`'s locations keep their names."""
+    return canonical_result(a, edited) == canonical_result(b, edited)
+
+
 def cmd_propagate(args) -> int:
     fuel = fuel_of(args)
     lp = load_program(args.file, args.build, fuel)
     edits = parse_edits_args(args, lp.labels)
-    base = lp.store.copy()
+    edited = _edited(lp.store, lp.labels, edits)
     engines = ["fast", "faithful"] if args.verify else [args.engine]
-    results = {}
-    for engine in engines:
-        store = base.copy()
-        if engine == "fast":
-            rt = Runtime(lp.program, store, inputs=lp.inputs, fuel=fuel)
-            fast = rt.propagate([e.resolve(lp.labels) for e in edits],
-                                fuel=fuel)
-            results[engine] = (fast.values, fast.store, fast.trace,
-                               fast.realized)
-        else:
-            t1 = run_from_scratch(lp.program, store, inputs=lp.inputs,
-                                  fuel=fuel)
-            s2 = base.copy()
-            apply_edits(s2, lp.labels, edits)
-            m = propagation_machine(lp.program, t1.trace, s2)
-            t2 = m.run(fuel)
-            results[engine] = (t2.values, t2.store, t2.trace,
-                               cost_vector(t2.log).realized)
-    vals, store, trace, realized = results[engines[0]]
-    print(fmt_vals(vals), f"realized={realized}")
+    run = {"fast": lambda: _fast(lp.program, lp.store, lp.labels, lp.inputs,
+                                 edits, fuel),
+           "faithful": lambda: _faithful(lp.program, lp.store, edited,
+                                         lp.inputs, fuel)}
+    results = {engine: run[engine]() for engine in engines}
+    result = results[engines[0]]
+    realized = (result.realized if isinstance(result, FastResult)
+                else cost_vector(result.log).realized)
+    print(fmt_vals(result.values), f"realized={realized}")
     if args.verify:
-        edited = base.copy()
-        apply_edits(edited, lp.labels, edits)
-        c = {e: canonicalize(v, t, s, edited)
-             for e, (v, s, t, _) in results.items()}
-        if c["fast"] != c["faithful"]:
+        if not _agree(results["fast"], results["faithful"], edited):
             print("engine mismatch: fast and faithful observables differ",
                   file=sys.stderr)
             return 1
         print("engines agree")
     if args.compare_rerun:
-        s2 = base.copy()
-        apply_edits(s2, lp.labels, edits)
-        fresh = run_from_scratch(lp.program, non_garbage(s2.copy()),
-                                 inputs=lp.inputs, fuel=fuel)
-        got = canonicalize(vals, trace, store, s2)
-        want = canonicalize(fresh.values, fresh.trace, fresh.store, s2)
-        if got != want:
+        fresh = _rerun(lp.program, edited, lp.inputs, fuel)
+        if not _agree(result, fresh, edited):
             print("propagation disagrees with a fresh run", file=sys.stderr)
             return 1
         print("propagation matches fresh run")
@@ -215,25 +227,25 @@ def cmd_analyze(args) -> int:
 def cmd_cost(args) -> int:
     fuel = fuel_of(args)
     lp = load_program(args.file, args.build, fuel)
+
+    def ref_log(prog):
+        return ref_run(prog, lp.store.copy(), fuel=fuel, inputs=lp.inputs).log
+
     prog = lp.program
     if args.dps:
-        orig_log = ref_run(prog, lp.store.copy(), fuel=fuel,
-                           inputs=lp.inputs).log
+        orig_log = ref_log(prog)
         prog = dps_convert_program(prog)
     if args.machine == "ref":
-        log = ref_run(prog, lp.store.copy(), fuel=fuel, inputs=lp.inputs).log
+        log = ref_log(prog)
     else:
         log = run_from_scratch(prog, lp.store.copy(), inputs=lp.inputs,
                                fuel=fuel).log
-    cv = cost_vector(log)
-    print(cv.table())
+    print(cost_vector(log).table())
     if args.dps:
         try:
-            rep = check_dps_overhead(orig_log, log if args.machine == "ref"
-                                     else ref_run(prog, lp.store.copy(),
-                                                  fuel=fuel,
-                                                  inputs=lp.inputs).log,
-                                     max_pop_arity(lp.program))
+            rep = check_dps_overhead(
+                orig_log, log if args.machine == "ref" else ref_log(prog),
+                max_pop_arity(lp.program))
             for line in rep.lines():
                 print(line)
         except BoundViolated as exc:
@@ -261,148 +273,121 @@ def cmd_bench(args) -> int:
     rng = random.Random(args.seed)
     scratch = run_from_scratch(bench.program, store.copy(), inputs=inputs,
                                fuel=fuel)
-    ms = scratch.steps
     realized_total = 0
     matches_total = 0
-    for k in range(args.edits):
+    for _ in range(args.edits):
         edits = gen_edits(rng.randrange(1 << 30), store, labels,
                           bench.edit_slots, 1)
-        s2 = store.copy()
-        apply_edits(s2, labels, edits)
         if args.engine == "fast":
-            rt = Runtime(bench.program, store.copy(), inputs=inputs, fuel=fuel)
-            fast = rt.propagate([e.resolve(labels) for e in edits],
-                                fuel=fuel)
+            fast = _fast(bench.program, store, labels, inputs, edits, fuel)
             realized_total += fast.realized
             matches_total += fast.matches
         else:
-            m = propagation_machine(bench.program, scratch.trace, s2)
-            t2 = m.run(fuel)
+            # Every edit propagates over the one shared scratch trace.
+            t2 = propagate(bench.program, scratch.trace,
+                           _edited(store, labels, edits), fuel)
             realized_total += cost_vector(t2.log).realized
             matches_total += t2.log.count("E.P")
     avg = realized_total / max(1, args.edits)
-    row = (f"bench={args.name} n={args.n} engine={args.engine} "
-           f"from_scratch_steps={ms} edits={args.edits} "
-           f"avg_realized={avg:.1f} memo_matches={matches_total}")
-    print(row)
+    print(f"bench={args.name} n={args.n} engine={args.engine} "
+          f"from_scratch_steps={scratch.steps} edits={args.edits} "
+          f"avg_realized={avg:.1f} memo_matches={matches_total}")
     return 0
 
 
+def battery(prog, store, labels, inputs, edits, fuel, native=False):
+    """The consistency battery on one program and edit batch: yields
+    (name, ok, detail) for each check in turn.  A stuck faithful
+    propagation fails propagate-vs-rerun and ends the battery."""
+    r = ref_run(prog, store.copy(), fuel=fuel, inputs=inputs)
+    t = run_from_scratch(prog, store.copy(), inputs=inputs, fuel=fuel)
+    yield ("ref-vs-trace", canonicalize(r.values, None, r.store, store)
+           == canonicalize(t.values, None, t.store, store), "")
+    cv_r, cv_t = cost_vector(r.log), cost_vector(t.log)
+    yield ("cost-equivalence", (cv_r.steps, cv_r.store, cv_r.stack)
+           == (cv_t.steps, cv_t.store, cv_t.stack), "")
+
+    dp = dps_convert_program(prog)
+    rd = ref_run(dp, store.copy(), fuel=fuel, inputs=inputs)
+    yield ("dps-extensional",
+           extensionally_preserved(r, rd, prog.arity, store), "")
+    try:
+        check_dps_overhead(r.log, rd.log, max_pop_arity(prog))
+    except BoundViolated as exc:
+        yield "dps-overhead", False, str(exc)
+    else:
+        yield "dps-overhead", True, ""
+
+    # Propagation consistency is theorem-backed for CSA programs, so the
+    # battery propagates the converted program unless `native` is set.
+    if not native:
+        prog = dp
+    edited = _edited(store, labels, edits)
+    try:
+        t2 = _faithful(prog, store, edited, inputs, fuel)
+        fresh = _rerun(prog, edited, inputs, fuel)
+    except Stuck as exc:
+        yield "propagate-vs-rerun", False, str(exc)
+        return
+    yield "propagate-vs-rerun", _agree(t2, fresh, edited), ""
+    yield "garbage-unreachable", check_garbage_unreachable(t2), ""
+    try:
+        fast = _fast(prog, store, labels, inputs, edits, fuel)
+    except Stuck as exc:
+        yield "fast-vs-faithful", False, str(exc)
+    else:
+        yield "fast-vs-faithful", _agree(fast, t2, edited), ""
+
+
 def cmd_check(args) -> int:
-    """The consistency battery for one file: reference vs tracing from
-    scratch, DPS extensional preservation, propagation vs fresh rerun (both
-    engines), garbage unreachability."""
+    """Print the consistency battery for one file."""
     fuel = fuel_of(args)
     lp = load_program(args.file, args.build, fuel)
-    porcelain = args.porcelain
+    edits = parse_edits_args(args, lp.labels)
     failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        if porcelain:
+    for name, ok, detail in battery(lp.program, lp.store, lp.labels,
+                                    lp.inputs, edits, fuel, args.native):
+        failures += not ok
+        if args.porcelain:
             print(f"check={name} ok={'yes' if ok else 'no'}")
         else:
             mark = "ok" if ok else "FAIL"
             print(f"[{mark}] {name}" + (f": {detail}" if detail else ""))
-
-    r = ref_run(lp.program, lp.store.copy(), fuel=fuel, inputs=lp.inputs)
-    t = run_from_scratch(lp.program, lp.store.copy(), inputs=lp.inputs,
-                         fuel=fuel)
-    report("ref-vs-trace",
-           canonicalize(r.values, None, r.store, lp.store)
-           == canonicalize(t.values, None, t.store, lp.store))
-    cv_r, cv_t = cost_vector(r.log), cost_vector(t.log)
-    report("cost-equivalence", (cv_r.steps, cv_r.store, cv_r.stack)
-           == (cv_t.steps, cv_t.store, cv_t.stack))
-
-    dp = dps_convert_program(lp.program)
-    rd = ref_run(dp, lp.store.copy(), fuel=fuel, inputs=lp.inputs)
-    report("dps-extensional",
-           extensionally_preserved(r, rd, lp.program.arity, lp.store))
-    try:
-        check_dps_overhead(r.log, rd.log, max_pop_arity(lp.program))
-        report("dps-overhead", True)
-    except BoundViolated as exc:
-        report("dps-overhead", False, str(exc))
-
-    edits = parse_edits_args(args, lp.labels)
-    # Propagation consistency is theorem-backed for CSA programs, so the
-    # battery propagates the converted program unless --native is given.
-    prog = lp.program if args.native else dp
-    t1 = run_from_scratch(prog, lp.store.copy(), inputs=lp.inputs, fuel=fuel)
-    s2 = lp.store.copy()
-    apply_edits(s2, lp.labels, edits)
-    m = propagation_machine(prog, t1.trace, s2.copy())
-    try:
-        t2 = m.run(fuel)
-        fresh = run_from_scratch(prog, non_garbage(s2.copy()),
-                                 inputs=lp.inputs, fuel=fuel)
-    except Stuck as exc:
-        report("propagate-vs-rerun", False, str(exc))
-        return 1
-    report("propagate-vs-rerun",
-           canonicalize(t2.values, t2.trace, t2.store, s2)
-           == canonicalize(fresh.values, fresh.trace, fresh.store, s2))
-    report("garbage-unreachable", check_garbage_unreachable(t2))
-    try:
-        rt = Runtime(prog, lp.store.copy(), inputs=lp.inputs, fuel=fuel)
-        fast = rt.propagate([e.resolve(lp.labels) for e in edits],
-                            fuel=fuel)
-        report("fast-vs-faithful",
-               canonicalize(fast.values, fast.trace, fast.store, s2)
-               == canonicalize(t2.values, t2.trace, t2.store, s2))
-    except Stuck as exc:
-        report("fast-vs-faithful", False, str(exc))
     return 1 if failures else 0
 
 
+# The last battery check each fuzz property runs.
+FUZZ_LAST_CHECK = {"consistency": "ref-vs-trace",
+                   "dps": "propagate-vs-rerun",
+                   "fastvsfaithful": "fast-vs-faithful"}
+
+
 def cmd_fuzz(args) -> int:
+    """Run the battery on each fuzzed program and a random edit batch, up
+    to the check the property names."""
     lo, _, hi = args.seeds.partition("..")
     seeds = range(int(lo), int(hi) + 1)
     fuel = fuel_of(args)
+    last = FUZZ_LAST_CHECK[args.prop]
     bad = []
     for seed in seeds:
         case = gen_program(seed)
         store, labels, inputs = case.build()
+        edits = gen_edits(seed + 1, store, labels, case.edit_slots, 2)
         try:
-            if args.prop == "consistency":
-                r = ref_run(case.program, store.copy(), fuel=fuel,
-                            inputs=inputs)
-                t = run_from_scratch(case.program, store.copy(),
-                                     inputs=inputs, fuel=fuel)
-                ok = (canonicalize(r.values, None, r.store, store)
-                      == canonicalize(t.values, None, t.store, store))
-            else:
-                prog = dps_convert_program(case.program)
-                t1 = run_from_scratch(prog, store.copy(), inputs=inputs,
-                                      fuel=fuel)
-                s2 = store.copy()
-                edits = gen_edits(seed + 1, s2, labels, case.edit_slots, 2)
-                apply_edits(s2, labels, edits)
-                m = propagation_machine(prog, t1.trace, s2.copy())
-                t2 = m.run(fuel)
-                if args.prop == "dps":
-                    fresh = run_from_scratch(prog, non_garbage(s2.copy()),
-                                             inputs=inputs, fuel=fuel)
-                    ok = (canonicalize(t2.values, t2.trace, t2.store, s2)
-                          == canonicalize(fresh.values, fresh.trace,
-                                          fresh.store, s2))
-                else:  # fastvsfaithful
-                    rt = Runtime(prog, store.copy(), inputs=inputs, fuel=fuel)
-                    fast = rt.propagate(
-                        [e.resolve(labels) for e in edits],
-                        fuel=fuel)
-                    ok = (canonicalize(fast.values, fast.trace, fast.store, s2)
-                          == canonicalize(t2.values, t2.trace, t2.store, s2))
+            for name, ok, detail in battery(case.program, store, labels,
+                                            inputs, edits, fuel):
+                if not ok or name == last:
+                    break
+            if not ok:
+                print(f"seed {seed}: {name} failed"
+                      + (f": {detail}" if detail else ""), file=sys.stderr)
         except (Stuck, FuelExhausted) as exc:
             ok = False
             print(f"seed {seed}: {exc}", file=sys.stderr)
         if not ok:
             bad.append(seed)
-    n = len(list(seeds))
-    print(f"prop={args.prop} seeds={args.seeds} checked={n} "
+    print(f"prop={args.prop} seeds={args.seeds} checked={len(seeds)} "
           f"failures={len(bad)}" + (f" bad={bad}" if bad else ""))
     return 1 if bad else 0
 
@@ -481,9 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fuzz", help="randomized equivalence oracles")
     sp.add_argument("--seeds", default="0..99", help="A..B inclusive")
-    sp.add_argument("--prop",
-                    choices=("consistency", "dps", "fastvsfaithful"),
-                    default="consistency")
+    sp.add_argument("--prop", choices=FUZZ_LAST_CHECK, default="consistency")
     sp.add_argument("--fuel", type=int, default=None)
     sp.set_defaults(func=cmd_fuzz)
     return p

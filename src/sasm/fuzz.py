@@ -49,12 +49,9 @@ class _FnSig:
 
 
 class _Gen:
-    def __init__(self, seed: int, budget: int,
-                 memo_density: float, update_density: float):
+    def __init__(self, seed: int, memo_density: float):
         self.rng = random.Random(seed)
-        self.budget = budget
         self.memo_density = memo_density
-        self.update_density = update_density
         self.counter = 0
         self.input_size = self.rng.randrange(4, 9)
 
@@ -202,13 +199,11 @@ class _Gen:
 
         int_vars = [x for x, t in scope.items() if t == INT]
         choices = ["pop"]
+        # The later functions that may be called or pushed here.
+        callees = [s for s in self.sigs[idx + 1:] if s.ret == ret]
         if depth < 3:
-            callees = [s for s in self.sigs[idx + 1:] if s.ret == ret]
             if callees:
-                choices.append("call")
-            pushables = [s for s in self.sigs[idx + 1:] if s.ret == ret]
-            if pushables:
-                choices.append("push")
+                choices += ["call", "push"]
             if ctr is not None and 0 <= idx and self.sigs[idx].ret == ret:
                 choices.append("recur")
             if int_vars:
@@ -229,7 +224,6 @@ class _Gen:
                         then=self.body(idx, scope, ret, depth + 1, ctr, pself),
                         els=self.body(idx, scope, ret, depth + 1, ctr, pself))
         if pick == "call":
-            callees = [s for s in self.sigs[idx + 1:] if s.ret == ret]
             sig = rng.choice(callees)
             args = self.call_args(sig, scope)
             if args is None:
@@ -250,8 +244,7 @@ class _Gen:
                                         cont=A.App(fname=sig.name, args=args)),
                           els=pop_expr()))
         if pick == "push":
-            pushables = [s for s in self.sigs[idx + 1:] if s.ret == ret]
-            sig = rng.choice(pushables)
+            sig = rng.choice(callees)
             # The push body is still function idx's syntax: its calls and
             # pushes keep pointing strictly later, so the runtime call graph
             # stays acyclic.
@@ -278,11 +271,9 @@ class _Gen:
         return tuple(args)
 
 
-def gen_program(seed: int, budget: int = 40,
-                memo_density: float = 0.4,
-                update_density: float = 1.0) -> FuzzCase:
+def gen_program(seed: int, memo_density: float = 0.4) -> FuzzCase:
     """Deterministic random program; always well formed, always terminates."""
-    case = _Gen(seed, budget, memo_density, update_density).gen()
+    case = _Gen(seed, memo_density).gen()
     diags = check_wf(case.program)
     assert not diags, f"fuzz generator produced ill-formed program: {diags[0]}"
     return case

@@ -316,7 +316,6 @@ class Runtime:
     def __init__(self, prog: A.Program, store: Store,
                  inputs: dict[str, MachineValue] | None = None,
                  live: LiveSet | None = None, fuel: int = DEFAULT_FUEL):
-        self.prog = prog
         self.live = live if live is not None else live_vars(prog)
         self.fun_index = prog.fun_index()
         self.base = store
@@ -329,7 +328,7 @@ class Runtime:
         self.queue: list[TraceNode] = []  # update nodes in trace order
         # The update point guarding each live run node's reads.
         self.enclosing: dict[TraceNode, Optional[TraceNode]] = {}
-        self.unguarded: list[tuple[Loc, int]] = []
+        self.unguarded: list[tuple[TraceNode, int]] = []  # dirty reads
         self.entry_removals: dict[tuple[int, int], int] = {}
         self.eval_steps = 0
         self.undo_steps = 0
@@ -386,8 +385,7 @@ class Runtime:
         dirty reads (the faithful machine gets stuck at their replay)."""
         enc = self.enclosing[node]
         if enc is None:
-            act = node.actions[idx]
-            self.unguarded.append((act.loc, act.off))
+            self.unguarded.append((node, idx))
             return []
         if not enc.alive:
             return []
@@ -644,11 +642,16 @@ class Runtime:
     def _check_matched_window(self, m: TraceNode) -> None:
         """The faithful machine replays the matched tail from `m`, so a
         read there before the next update that disagrees with the store
-        gets it stuck, as S.2 if the entry is unavailable, else P.2."""
+        gets it stuck."""
         dirty = self.window_dirty(m.prev)
-        if dirty is None:
-            return
-        a, cur = dirty
+        if dirty is not None:
+            self._stuck_read(*dirty)
+
+    @staticmethod
+    def _stuck_read(a: TRead, cur) -> None:
+        """Get stuck as the faithful machine does replaying the read `a`
+        when the store holds `cur`: S.2 if the entry is unavailable, else
+        P.2."""
         if cur is None or cur is UNINIT:
             raise StuckRead(f"read of {a.loc!r}[{a.off!r}] unavailable")
         raise Stuck("P.2", f"read of {a.loc!r}[{a.off}] sees {cur!r}, "
@@ -687,16 +690,15 @@ class Runtime:
             self._session(env, act.expr, after=node, cursor=node.next,
                           region=region, region_end=region_end,
                           budget=budget)
-        for loc, off in self.unguarded:
-            h = self.histories.get((loc.id, off))
-            if h is None:
-                continue
-            base_val = self.base.peek(loc, off)
-            for rn, ri, recorded in h.readers_after(self.om, MINKEY):
-                if rn.alive and recorded != base_val:
-                    raise Stuck("P.2", f"read of {loc!r}[{off}] sees "
-                                       f"{base_val!r}, trace recorded "
-                                       f"{recorded!r} (no enclosing update)")
+        # Dirty reads with no enclosing update are replayed, not re-run, by
+        # the faithful machine: the first one that still disagrees gets it
+        # stuck.
+        alive = [(self._pos_key(n, i), n.actions[i])
+                 for n, i in self.unguarded if n.alive]
+        for key, a in sorted(alive, key=lambda p: p[0]):
+            cur = self._value_now(a.loc, a.off, key)
+            if cur is None or cur is UNINIT or cur != a.val:
+                self._stuck_read(a, cur)
         return self.result()
 
     # -- results --------------------------------------------------------------------

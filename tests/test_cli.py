@@ -5,6 +5,7 @@ import os
 import pytest
 
 from sasm.cli import main
+from sasm.cost import BoundViolated
 from sasm.errors import Stuck
 from sasm.runtime import Runtime
 
@@ -61,6 +62,16 @@ def test_check_porcelain(capsys):
     assert rc == 0
     assert all(line.startswith("check=") and "ok=yes" in line
                for line in out.splitlines())
+
+
+def test_check_porcelain_names_the_battery_in_order(capsys):
+    assert main(["check", corpus_path("list_sum.il"), "--porcelain",
+                 "--edit", "write c3 1 99"]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == ["check=ref-vs-trace", "check=cost-equivalence",
+                     "check=dps-extensional", "check=dps-overhead",
+                     "check=propagate-vs-rerun", "check=garbage-unreachable",
+                     "check=fast-vs-faithful"]
 
 
 def test_check_native_array_max(capsys):
@@ -125,10 +136,22 @@ def test_bench_row(capsys):
     assert "from_scratch_steps=" in out and "avg_realized=" in out
 
 
-@pytest.mark.parametrize("prop", ["consistency", "fastvsfaithful"])
+@pytest.mark.parametrize("prop", ["consistency", "dps", "fastvsfaithful"])
 def test_fuzz_command(capsys, prop):
     assert main(["fuzz", "--seeds", "0..19", "--prop", prop]) == 0
     assert "failures=0" in capsys.readouterr().out
+
+
+def test_fuzz_fails_on_any_check_before_the_one_it_names(capsys,
+                                                         monkeypatch):
+    def violated(*args):
+        raise BoundViolated("injected")
+
+    monkeypatch.setattr("sasm.cli.check_dps_overhead", violated)
+    assert main(["fuzz", "--seeds", "0..0", "--prop", "fastvsfaithful"]) == 1
+    out, err = capsys.readouterr()
+    assert "failures=1" in out
+    assert "seed 0: dps-overhead failed: injected" in err
 
 
 def test_missing_builder_for_inputs_is_semantic_error(capsys, tmp_path):

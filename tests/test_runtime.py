@@ -624,3 +624,48 @@ def test_propagate_reports_the_fuel_it_was_given():
     with pytest.raises(FuelExhausted) as exc:
         rt.propagate([(labels["arr"], 1, 999)], fuel=3)
     assert exc.value.fuel == 3
+
+
+_UNGUARDED_READS = {
+    "top-level": """input inp
+let x = read(inp, 1) in update let y = read(inp, 1) in pop(y)
+arity 1
+""",
+    "after-end": """input inp
+let fun g(c) = let v = read(inp, 1) in pop(v)
+push g do update let x = read(inp, 1) in pop(x)
+arity 1
+""",
+    "retired-location": """input inp
+let fun g(c) = let v = read(c, 1) in pop(v)
+push g do update let x = read(inp, 1) in let c = alloc(1) in
+  let w = write(c, 1, x) in pop(c)
+arity 1
+""",
+}
+
+
+@pytest.mark.parametrize("name, error, family", [
+    ("top-level", Stuck, "P.2"),
+    ("after-end", Stuck, "P.2"),
+    ("retired-location", StuckRead, "S.2"),
+])
+def test_an_unguarded_dirty_read_sticks_the_same_on_both_engines(
+        name, error, family):
+    # A dirty read with no enclosing update is replayed, not re-run, so
+    # both engines get stuck on it: P.2 on a new value, S.2 when its
+    # location was retired by the re-evaluation before it.
+    prog = parse_program(_UNGUARDED_READS[name])
+    store = Store()
+    inp = store.alloc(1)
+    store.write(inp, 1, 5)
+    t1 = run_from_scratch(prog, store.copy(), inputs={"inp": inp})
+    s2 = store.copy()
+    s2.write(inp, 1, 7)
+    with pytest.raises(Stuck) as faithful:
+        propagation_machine(prog, t1.trace, s2).run()
+    rt = Runtime(prog, store.copy(), inputs={"inp": inp})
+    with pytest.raises(Stuck) as fast:
+        rt.propagate([(inp, 1, 7)])
+    assert type(faithful.value) is type(fast.value) is error
+    assert faithful.value.family == fast.value.family == family
