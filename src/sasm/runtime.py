@@ -14,9 +14,9 @@ cost is the evaluation plus undo work alone.
 Consecutive actions share a node: a memo point starts a node and an update
 point ends one, so the interval a re-evaluation replaces starts at a node
 boundary and no node is ever split.  Each action goes into its node and is
-indexed as soon as it is traced.  Every read of a run node has the same
-guard (the update point whose re-evaluation re-runs it), so guards are kept
-per node.
+indexed as soon as it is traced.  A read's guard, the update point whose
+re-evaluation re-runs it, is read off the trace: the nearest earlier run
+node that ends in an update, unless a bracket or the head comes first.
 
 The trace is its own order-maintenance list: a node's integer label is its
 timestamp.  Timestamps do the heavy lifting: new nodes are inserted between
@@ -326,28 +326,24 @@ class Runtime:
         self.histories: dict[tuple[int, int], EntryHistory] = {}
         self.memo_index: dict[tuple, list[TraceNode]] = {}
         self.queue: list[TraceNode] = []  # update nodes in trace order
-        # The update point guarding each live run node's reads.
-        self.enclosing: dict[TraceNode, Optional[TraceNode]] = {}
         self.unguarded: list[tuple[TraceNode, int]] = []  # dirty reads
         self.entry_removals: dict[tuple[int, int], int] = {}
         self.eval_steps = 0
         self.undo_steps = 0
-        self.new_entries = 0
         self.matches = 0
         self.reevaluated: list[int] = []
         self.skipped = 0
         self.live_entries = 0  # len(self.flat_trace()), kept up to date
+        self.start_entries = 0  # live_entries when the propagation began
         self.generation = 0  # bumped whenever an edit changes the run
         budget = [fuel, fuel]
         self._session(initial_env(prog, inputs), prog.entry, after=self.head,
-                      cursor=None, region=None, region_end=self.tail,
-                      budget=budget)
+                      cursor=None, budget=budget)
 
     # -- linked-list and indexing helpers --------------------------------------
 
     def _link_after(self, node: TraceNode, prev: TraceNode) -> TraceNode:
         self.live_entries += node.entries()
-        self.new_entries += node.entries()
         return self.om.insert_after(prev, node)
 
     def _unlink(self, node: TraceNode) -> None:
@@ -371,48 +367,63 @@ class Runtime:
 
     # -- queue ------------------------------------------------------------------
 
-    def _enqueue(self, node: TraceNode) -> bool:
+    def _enqueue(self, node: TraceNode) -> None:
         """Queue the update point that ends `node`, unless it is queued."""
         assert isinstance(node.actions[-1], TUpdate)
-        if node.queued:
-            return False
-        node.queued = True
-        insort(self.queue, node, key=self.om.key)
-        return True
+        if not node.queued:
+            node.queued = True
+            insort(self.queue, node, key=self.om.key)
 
-    def _enqueue_reader(self, node: TraceNode, idx: int) -> list:
-        """Enqueue the reader's enclosing update point; record unguarded
-        dirty reads (the faithful machine gets stuck at their replay)."""
-        enc = self.enclosing[node]
-        if enc is None:
+    def _enqueue_reader(self, node: TraceNode, idx: int) -> None:
+        """Enqueue the reader's guard; record unguarded dirty reads (the
+        faithful machine gets stuck at their replay)."""
+        guard = self._guard(node)
+        if guard is None:
             self.unguarded.append((node, idx))
-            return []
-        if not enc.alive:
-            return []
-        return [enc] if self._enqueue(enc) else []
+        else:
+            self._enqueue(guard)
+
+    @staticmethod
+    def _guard(node: TraceNode) -> Optional[TraceNode]:
+        """The update point guarding the reads of the run node `node`: the
+        nearest earlier run node that ends in an update; a bracket or the
+        head before it leaves the reads unguarded."""
+        n = node.prev
+        while n.kind == "run":
+            if isinstance(n.actions[-1], TUpdate):
+                return n
+            n = n.prev
+        return None
+
+    @property
+    def enclosing(self) -> dict[TraceNode, Optional[TraceNode]]:
+        """Each live run node's guard, read off the trace."""
+        guards, n = {}, self.head.next
+        while n is not self.tail:
+            if n.kind == "run":
+                guards[n] = self._guard(n)
+            n = n.next
+        return guards
 
     # -- dirtiness ----------------------------------------------------------------
 
-    def mark_dirty(self, loc: Loc, off: int, value) -> set:
-        """Apply one edit to the input store; enqueue the smallest enclosing
-        update point of every read the edit breaks.  Returns the set of
-        enqueued update nodes."""
+    def mark_dirty(self, loc: Loc, off: int, value) -> None:
+        """Apply one edit to the input store; enqueue the guard of every
+        read the edit breaks."""
         if self.base.peek(loc, off) is None:
             raise KeyError(f"unknown entry {loc!r}[{off}]")
         self.generation += 1
         self.base.write(loc, off, value)
         h = self.histories.get((loc.id, off))
-        return set() if h is None else self._invalidate(h, MINKEY, value)
+        if h is not None:
+            self._invalidate(h, MINKEY, value)
 
-    def _invalidate(self, h: EntryHistory, key, value) -> set:
+    def _invalidate(self, h: EntryHistory, key, value) -> None:
         """Enqueue the reads after `key`, up to the entry's next write,
-        whose recorded value differs from `value`; returns the enqueued
-        update nodes."""
-        out = set()
+        whose recorded value differs from `value`."""
         for node, idx, recorded in h.readers_after(self.om, key):
             if recorded != value:
-                out.update(self._enqueue_reader(node, idx))
-        return out
+                self._enqueue_reader(node, idx)
 
     def _commit_write(self, node: TraceNode, idx: int, a: TWrite) -> None:
         """Insert a write event and enqueue the readers it breaks."""
@@ -466,7 +477,6 @@ class Runtime:
             if node.kind == "run":
                 for idx in range(len(node.actions)):
                     self._retire_action(node, idx)
-                del self.enclosing[node]
             else:  # begin / end brackets
                 self.undo_steps += 1
             self._unlink(node)
@@ -515,17 +525,17 @@ class Runtime:
     # -- the evaluation session ------------------------------------------------------
 
     def _session(self, env: dict, expr: A.Expr, after: TraceNode,
-                 cursor: Optional[TraceNode],
-                 region: Optional[TraceNode], region_end: TraceNode,
-                 budget: list[int]) -> None:
+                 cursor: Optional[TraceNode], budget: list[int]) -> None:
         """Evaluate (env, expr), splicing new nodes after `after`.
 
         Each traced action goes into a run node and is indexed there as soon
         as its rule returns (see _record), so the session holds no actions
-        of its own.  cursor..region_end is the reusable remainder of the
-        re-evaluated region (None for from-scratch runs).  budget holds the
-        steps left and the fuel they started from.
+        of its own.  The session runs in `after`'s region, and cursor up to
+        the region's end is its reusable remainder (None for from-scratch
+        runs).  budget holds the steps left and the fuel they started from.
         """
+        region = after.region
+        region_end = region.partner if region is not None else self.tail
         stack: list[Frame] = []
         # The open regions' begin nodes, innermost last.
         regions: list[Optional[TraceNode]] = [region]
@@ -551,7 +561,6 @@ class Runtime:
                         self.matches += 1
                         self.eval_steps += 1  # E.P
                         self._retire_interval(cursor, m)
-                        self._repair_tail_guards(m)
                         self._check_matched_window(m)
                         return
                 _, action, env, command = step(view, env, e, self._saved)
@@ -595,12 +604,10 @@ class Runtime:
                 or isinstance(at.actions[-1], TUpdate)):
             node = TraceNode("run")
             node.region = region
-            self.enclosing[node] = self._guard_after(at)
             at = self._link_after(node, at)
         idx = len(at.actions)
         at.actions.append(a)
         self.live_entries += 1
-        self.new_entries += 1
         if isinstance(a, TRead):
             self._hist(a.loc.id, a.off).insert(self.om, at, idx, "R", a.val)
         elif isinstance(a, TWrite):
@@ -608,16 +615,6 @@ class Runtime:
         elif isinstance(a, TMemo):
             self.memo_index.setdefault((a.eid, a.env), []).append(at)
         return at
-
-    def _guard_after(self, prev: TraceNode) -> Optional[TraceNode]:
-        """The update point guarding the reads of a run node linked after
-        `prev`: `prev` if it ends in one, else `prev`'s guard if it is a
-        run; a bracket or the head leaves the reads unguarded."""
-        if prev.kind != "run":
-            return None
-        if isinstance(prev.actions[-1], TUpdate):
-            return prev
-        return self.enclosing[prev]
 
     def _value_now(self, loc, off, key):
         if not isinstance(loc, Loc) or not isinstance(off, int):
@@ -629,15 +626,6 @@ class Runtime:
         if h is None:
             return base_val
         return h.value_at(self.om, key, base_val)
-
-    def _repair_tail_guards(self, node: TraceNode) -> None:
-        """After a splice that ends before `node`, re-derive the guards of
-        the run nodes from `node` up to the first one ending in an update."""
-        while node.kind == "run":
-            self.enclosing[node] = self._guard_after(node.prev)
-            if isinstance(node.actions[-1], TUpdate):
-                return
-            node = node.next
 
     def _check_matched_window(self, m: TraceNode) -> None:
         """The faithful machine replays the matched tail from `m`, so a
@@ -666,11 +654,11 @@ class Runtime:
         self.generation += 1
         self.eval_steps = 0
         self.undo_steps = 0
-        self.new_entries = 0
         self.matches = 0
         self.reevaluated = []
         self.skipped = 0
         self.unguarded = []
+        self.start_entries = self.live_entries
         for loc, off, val in edits:
             self.mark_dirty(loc, off, val)
         while self.queue:
@@ -685,14 +673,10 @@ class Runtime:
             env.update((f, self.fun_index[f]) for f in act.fnames)
             # The update ends its node, so the doomed interval starts at
             # the next node.
-            region = node.region
-            region_end = region.partner if region is not None else self.tail
             self._session(env, act.expr, after=node, cursor=node.next,
-                          region=region, region_end=region_end,
                           budget=budget)
-        # Dirty reads with no enclosing update are replayed, not re-run, by
-        # the faithful machine: the first one that still disagrees gets it
-        # stuck.
+        # Dirty reads with no guard are replayed, not re-run, by the
+        # faithful machine: the first one that still disagrees gets it stuck.
         alive = [(self._pos_key(n, i), n.actions[i])
                  for n, i in self.unguarded if n.alive]
         for key, a in sorted(alive, key=lambda p: p[0]):
@@ -754,13 +738,13 @@ class Runtime:
 
     def result(self) -> FastResult:
         """The last propagation's result; builds neither trace nor store."""
-        old_surviving = self.live_entries - self.new_entries
         return FastResult(
             values=self.final_values(),
             realized=self.eval_steps + self.undo_steps,
             eval_steps=self.eval_steps,
             undo_steps=self.undo_steps,
-            prop_equivalent=old_surviving - self.matches,
+            # Each undo step retires one entry the propagation began with.
+            prop_equivalent=self.start_entries - self.undo_steps - self.matches,
             reevaluated=list(self.reevaluated),
             skipped=self.skipped,
             matches=self.matches,

@@ -1,6 +1,8 @@
 """The command-line interface: subcommands, exit codes, file conventions."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +105,20 @@ def test_propagate_compare_rerun_and_verify(capsys):
     assert "propagation matches fresh run" in out
 
 
+@pytest.mark.parametrize("engine, message", [
+    ("faithful", "read from garbage location ℓ16"),
+    ("fast", "read of ℓ16[1] unavailable")], ids=["faithful", "fast"])
+def test_propagate_verify_reports_the_selected_engine(capsys, engine,
+                                                      message):
+    argv = ["propagate", corpus_path("list_mergesort.il"), "--engine", engine,
+            "--edit", "write c3 1 99"]
+    assert main(argv) == 1
+    alone = capsys.readouterr().err
+    assert main(argv + ["--verify"]) == 1
+    assert capsys.readouterr().err == alone
+    assert message in alone
+
+
 def test_propagate_fast_engine(capsys):
     rc = main(["propagate", corpus_path("list_sum.il"), "--engine", "fast",
                "--edit", "write c3 1 99", "--compare-rerun"])
@@ -134,6 +150,24 @@ def test_bench_row(capsys):
                  "--engine", "fast"]) == 0
     out = capsys.readouterr().out
     assert "from_scratch_steps=" in out and "avg_realized=" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["list_quicksort"], "unknown benchmark 'list_quicksort'"),
+    (["list_mergesort"], "unknown benchmark 'list_mergesort'"),
+    (["list_bogus"], "unknown benchmark 'list_bogus'"),
+    (["list_sum", "--n", "48"], "list length 48 is not a power of two"),
+    (["array_max", "--n", "6"], "array length 6 is not a power of two")],
+    ids=["list_quicksort", "list_mergesort", "list_bogus", "list_sum-48",
+         "array_max-6"])
+def test_bench_bad_name_or_size_is_an_error_line(argv, message):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "sasm.cli", "bench", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}"), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("prop", ["consistency", "dps", "fastvsfaithful"])

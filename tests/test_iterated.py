@@ -1,8 +1,11 @@
 """Iterated propagation: traces produced by propagation are reusable, on
 both engines, and stay consistent with fresh runs."""
 
+import pytest
+
 from sasm.corpus import Edit, apply_edits, gen_array_max, gen_list
 from sasm.cost import cost_vector
+from sasm.errors import Stuck
 from sasm.fuzz import gen_edits, gen_program
 from sasm.dps import dps_convert_program
 from sasm.runtime import Runtime
@@ -54,6 +57,53 @@ def test_runtime_repeated_edit_batches_match_faithful_chain():
         trace = t2.trace
         assert bench.observe(t2.values, t2.store, labels) == \
             bench.oracle(cumulative, labels)
+
+
+def _retained_cases():
+    """array_max_b n=16 and fuzz seeds 0..39, each native and converted."""
+    bench = gen_array_max(16, "b")
+    cases = [("array_max_b", bench.program, bench.build(), bench.edit_slots)]
+    for seed in range(40):
+        case = gen_program(seed)
+        cases.append((seed, case.program, case.build(), case.edit_slots))
+    for name, prog, built, slots in cases:
+        yield (name, "native"), prog, built, slots
+        yield (name, "dps"), dps_convert_program(prog), built, slots
+
+
+def test_retained_runtime_follows_the_faithful_chain_over_many_batches():
+    fuel = 400000
+    matches = 0
+    for name, prog, (store, labels, inputs), slots in _retained_cases():
+        rt = Runtime(prog, store.copy(), inputs=inputs, fuel=fuel)
+        trace = run_from_scratch(prog, store.copy(), inputs=inputs,
+                                 fuel=fuel).trace
+        cumulative = store.copy()
+        for batch in range(8):
+            where = (name, batch)
+            edits = gen_edits(batch, cumulative, labels, slots, 1)
+            apply_edits(cumulative, labels, edits)
+            changes = [e.resolve(labels) for e in edits]
+            m = propagation_machine(prog, trace, cumulative.copy())
+            try:
+                t2 = m.run(fuel)
+            except Stuck as exc:
+                with pytest.raises(Stuck) as fast_exc:
+                    rt.propagate(changes)
+                assert type(fast_exc.value) is type(exc), where
+                assert fast_exc.value.family == exc.family, where
+                break
+            fast = rt.propagate(changes)
+            assert canonicalize(t2.values, t2.trace, t2.store, cumulative) \
+                == canonicalize(fast.values, fast.trace, fast.store,
+                                cumulative), where
+            assert cost_vector(t2.log).tracing == (
+                fast.eval_steps, fast.prop_equivalent, fast.undo_steps), where
+            assert t2.log.count("P.E") == len(fast.reevaluated), where
+            assert t2.log.count("E.P") == fast.matches, where
+            matches += fast.matches
+            trace = t2.trace
+    assert matches  # the chain went through memo matches
 
 
 def test_fuzzed_iterated_propagation_consistency():

@@ -366,16 +366,17 @@ def test_mark_dirty_untouched_entry_enqueues_nothing():
     # maxcell is written, never read before its final write; editing an
     # unread cell enqueues nothing.  arr[8] is read by round one, so use a
     # fresh location instead: the maxcell is only read by nothing.
-    out = rt.mark_dirty(labels["maxcell"], 1, 123)
-    assert out == set()
+    rt.mark_dirty(labels["maxcell"], 1, 123)
+    assert rt.queue == []
 
 
 def test_mark_dirty_enqueues_first_round_update():
     bench = gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "b")
     store, labels, inputs = bench.build()
     rt = Runtime(bench.program, store, inputs=inputs)
-    out = rt.mark_dirty(labels["arr"], 1, 99)
-    assert len(out) == 1  # exactly the round-one pair update for (arr1, arr2)
+    rt.mark_dirty(labels["arr"], 1, 99)
+    # exactly the round-one pair update for (arr1, arr2)
+    assert len(rt.queue) == 1
 
 
 def test_edit_then_edit_back_skips_at_dequeue():
@@ -543,6 +544,9 @@ def test_propagate_never_walks_the_whole_trace(monkeypatch):
         with monkeypatch.context() as m:
             for name in ("flat_trace", "build_trace", "build_store"):
                 m.setattr(Runtime, name, forbidden(name))
+            # Guards are read off the trace, never from a table of them.
+            m.setattr(Runtime, "enclosing", property(forbidden("enclosing")),
+                      raising=False)
             fast = rt.propagate([e.resolve(labels) for e in edits])
             seen = (fast.values, fast.realized, fast.prop_equivalent)
         cv = cost_vector(t2.log)
