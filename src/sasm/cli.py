@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import ilast as A
 from .analyses import live_vars, region_no_update
-from .corpus import (Edit, NotPowerOfTwo, apply_edits, deref_result,
+from .corpus import (BadSize, Edit, apply_edits, deref_result,
                      exptrees_fixture, gen_array_max, gen_list,
                      parse_edit_line)
 from .cost import cost_vector, check_dps_overhead, max_pop_arity, BoundViolated
@@ -268,7 +268,7 @@ def _bench_by_name(name: str, n: int, variant: str, seed: int):
         if name == "array_max":
             return gen_array_max(n, variant)
         return gen_list(name[5:], n, seed)
-    except NotPowerOfTwo as exc:
+    except BadSize as exc:
         raise CliError(str(exc)) from exc
 
 

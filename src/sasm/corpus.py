@@ -194,28 +194,12 @@ def _read_tree(store: Store, labels, loc) -> int:
     return A.wrap64(lv + rv if op == PLUS else lv - rv)
 
 
-def gen_exptrees(shape: TreeShape = UPPER_TREE,
-                 extras: dict[str, TreeShape] | None = None) -> Benchmark:
-    """The tree evaluator with a builder for the given shape.
-
-    extras maps label names to additional trees allocated (but unused) by the
-    builder, available as edit targets for structural changes.
-    """
+def gen_exptrees(shape: TreeShape = UPPER_TREE) -> Benchmark:
+    """The tree evaluator with a builder for the given shape."""
     lines: list[str] = []
-    names: list[str] = []
-    counter = [0]
-    root = _emit_tree(shape, lines, names, counter)
-    extra_labels = []
-    extra_names = []
-    for label, extra_shape in (extras or {}).items():
-        n = _emit_tree(extra_shape, lines, names, counter)
-        extra_labels.append(label)
-        extra_names.append(n)
-    builder_src = "labels root " + " ".join(extra_labels) + "\n"
-    builder_src += "\n".join(lines)
-    builder_src += "\npop(" + ", ".join([root] + extra_names) + ")"
-    builder_src += f"\narity {1 + len(extra_labels)}\n"
-    builder = parse_program(builder_src)
+    root = _emit_tree(shape, lines, [], [0])
+    builder = parse_program("labels root\n" + "\n".join(lines)
+                            + f"\npop({root})\narity 1\n")
     program = parse_program(EXPTREES_MAIN)
     bench = Benchmark(
         name="exptrees",
@@ -379,7 +363,11 @@ let fun while_loop(n) =
 """
 
 
-class NotPowerOfTwo(ValueError):
+class BadSize(ValueError):
+    """A generator was asked for a size it cannot build."""
+
+
+class NotPowerOfTwo(BadSize):
     pass
 
 
@@ -564,6 +552,8 @@ arity 0
 def _list_builder(values: list[int], extra_cells: list[str],
                   init_lines: list[str] | None = None) -> A.Program:
     n = len(values)
+    if n < 1:
+        raise BadSize("list length must be at least 1")
     labels = ["lst"] + [f"c{i}" for i in range(1, n + 1)] + extra_cells
     lines = ["labels " + " ".join(labels)]
     for i in range(1, n + 1):
@@ -922,7 +912,7 @@ __all__ = [
     "gen_exptrees", "exptrees_fixture", "gen_array_max", "gen_list",
     "gen_sort",
     "random_tree", "eval_tree_shape", "corpus_benchmarks", "walk_list",
-    "NotPowerOfTwo", "UPPER_TREE", "emit_corpus_files",
+    "BadSize", "NotPowerOfTwo", "UPPER_TREE", "emit_corpus_files",
     "standalone_exptrees_source",
     "TAG", "VAL", "OP", "LEFT", "RIGHT", "LEAF", "BINOP", "PLUS", "MINUS",
 ]

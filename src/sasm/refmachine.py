@@ -196,7 +196,7 @@ def initial_env(prog: A.Program, inputs: dict[str, MachineValue] | None = None) 
 def ref_run(prog: A.Program, init_store: Store | None = None,
             fuel: int = DEFAULT_FUEL,
             inputs: dict[str, MachineValue] | None = None,
-            keep_log: bool = True, debug: bool = False) -> RefResult:
+            keep_log: bool = True) -> RefResult:
     """Iterate ref_step from <init_store, empty stack, rho0, entry>."""
     store = init_store if init_store is not None else Store()
     c = RefConfig(store=store, stack=[], env=initial_env(prog, inputs),
@@ -204,7 +204,7 @@ def ref_run(prog: A.Program, init_store: Store | None = None,
     log: list[str] = []
     steps = 0
     while True:
-        tag = ref_step(c, debug=debug)
+        tag = ref_step(c)
         if tag == TERMINATED:
             assert isinstance(c.command, Values)
             return RefResult(c.command.vals, c.store, steps, log)

@@ -4,19 +4,21 @@ per-entry store histories, a memo index and priority-queue change propagation.
 Instead of replaying the whole trace, the runtime keeps it retained across
 runs: every read and write stays indexed per store entry and ordered by an
 order-maintenance timestamp, so an edit finds exactly the reads it breaks and
-enqueues their enclosing update points.  Propagation dequeues update points
-in trace order, re-verifies them against the history, and re-runs just the
-evaluation steps, splicing new trace nodes over the interval they replace; a
-memo hit ends the re-run and keeps the matched tail in place.  Retained
-actions are never replayed, so propagation steps cost nothing here; realized
-cost is the evaluation plus undo work alone.
+enqueues the nodes that check them.  The queue holds update nodes, brackets
+and the head in trace order.  A dequeued update point is re-verified against
+the history and re-runs just the evaluation steps, splicing new trace nodes
+over the interval they replace; a memo hit ends the re-run and keeps the
+matched tail in place.  A dequeued bracket or head replays its reads, as the
+faithful machine does at that point.  Retained actions are never replayed,
+so propagation steps cost nothing here; realized cost is the evaluation plus
+undo work alone.
 
 Consecutive actions share a node: a memo point starts a node and an update
 point ends one, so the interval a re-evaluation replaces starts at a node
 boundary and no node is ever split.  Each action goes into its node and is
-indexed as soon as it is traced.  A read's guard, the update point whose
-re-evaluation re-runs it, is read off the trace: the nearest earlier run
-node that ends in an update, unless a bracket or the head comes first.
+indexed as soon as it is traced.  The node that checks a read is read off
+the trace: the nearest earlier run node that ends in an update (its guard,
+whose re-evaluation re-runs it), unless a bracket or the head comes first.
 
 The trace is its own order-maintenance list: a node's integer label is its
 timestamp.  Timestamps do the heavy lifting: new nodes are inserted between
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import ilast as A
-from .analyses import LiveSet, live_vars
+from .analyses import live_vars
 from .errors import (DEFAULT_FUEL, FuelExhausted, StaleResult, Stuck,
                      StuckRead, StuckWrite)
 from .refmachine import Frame, Values, apply_frame, initial_env
@@ -154,8 +156,8 @@ class TraceNode(OMHandle):
         self.kind = kind  # "run" | "begin" | "end" | "head" | "tail"
         self.actions: list = []
         self.region: Optional["TraceNode"] = None  # innermost begin node
-        self.partner: Optional["TraceNode"] = None  # begin<->end
-        self.queued = False  # an update node waiting in Runtime.queue
+        self.partner: Optional["TraceNode"] = None  # begin -> end
+        self.queued = False  # waiting in Runtime.queue
 
     def entries(self) -> int:
         """The node's length in the flattened trace: its actions, or one
@@ -315,8 +317,8 @@ class Runtime:
 
     def __init__(self, prog: A.Program, store: Store,
                  inputs: dict[str, MachineValue] | None = None,
-                 live: LiveSet | None = None, fuel: int = DEFAULT_FUEL):
-        self.live = live if live is not None else live_vars(prog)
+                 fuel: int = DEFAULT_FUEL):
+        self.live = live_vars(prog)
         self.fun_index = prog.fun_index()
         self.base = store
         self.fuel = fuel
@@ -325,8 +327,8 @@ class Runtime:
         self.tail = self.om.insert_after(self.head, TraceNode("tail"))
         self.histories: dict[tuple[int, int], EntryHistory] = {}
         self.memo_index: dict[tuple, list[TraceNode]] = {}
-        self.queue: list[TraceNode] = []  # update nodes in trace order
-        self.unguarded: list[tuple[TraceNode, int]] = []  # dirty reads
+        # Update nodes, brackets and the head, in trace order.
+        self.queue: list[TraceNode] = []
         self.entry_removals: dict[tuple[int, int], int] = {}
         self.eval_steps = 0
         self.undo_steps = 0
@@ -367,41 +369,33 @@ class Runtime:
 
     # -- queue ------------------------------------------------------------------
 
-    def _enqueue(self, node: TraceNode) -> None:
-        """Queue the update point that ends `node`, unless it is queued."""
-        assert isinstance(node.actions[-1], TUpdate)
-        if not node.queued:
-            node.queued = True
-            insort(self.queue, node, key=self.om.key)
-
-    def _enqueue_reader(self, node: TraceNode, idx: int) -> None:
-        """Enqueue the reader's guard; record unguarded dirty reads (the
-        faithful machine gets stuck at their replay)."""
-        guard = self._guard(node)
-        if guard is None:
-            self.unguarded.append((node, idx))
-        else:
-            self._enqueue(guard)
-
     @staticmethod
-    def _guard(node: TraceNode) -> Optional[TraceNode]:
-        """The update point guarding the reads of the run node `node`: the
-        nearest earlier run node that ends in an update; a bracket or the
-        head before it leaves the reads unguarded."""
+    def _checker(node: TraceNode) -> TraceNode:
+        """The node whose dequeue checks the reads of the run node `node`:
+        the nearest earlier run node that ends in an update (their guard,
+        which re-runs them), or else the bracket or head before them (which
+        replays them)."""
         n = node.prev
-        while n.kind == "run":
-            if isinstance(n.actions[-1], TUpdate):
-                return n
+        while n.kind == "run" and not isinstance(n.actions[-1], TUpdate):
             n = n.prev
-        return None
+        return n
+
+    def _enqueue_reader(self, node: TraceNode) -> None:
+        """Queue the checker of the reads of `node`, unless it is queued."""
+        checker = self._checker(node)
+        if not checker.queued:
+            checker.queued = True
+            insort(self.queue, checker, key=self.om.key)
 
     @property
     def enclosing(self) -> dict[TraceNode, Optional[TraceNode]]:
-        """Each live run node's guard, read off the trace."""
+        """Each live run node's guard, read off the trace (None when a
+        bracket or the head checks its reads)."""
         guards, n = {}, self.head.next
         while n is not self.tail:
             if n.kind == "run":
-                guards[n] = self._guard(n)
+                checker = self._checker(n)
+                guards[n] = checker if checker.kind == "run" else None
             n = n.next
         return guards
 
@@ -421,9 +415,9 @@ class Runtime:
     def _invalidate(self, h: EntryHistory, key, value) -> None:
         """Enqueue the reads after `key`, up to the entry's next write,
         whose recorded value differs from `value`."""
-        for node, idx, recorded in h.readers_after(self.om, key):
+        for node, _, recorded in h.readers_after(self.om, key):
             if recorded != value:
-                self._enqueue_reader(node, idx)
+                self._enqueue_reader(node)
 
     def _commit_write(self, node: TraceNode, idx: int, a: TWrite) -> None:
         """Insert a write event and enqueue the readers it breaks."""
@@ -450,9 +444,9 @@ class Runtime:
                 h = self.histories.pop((a.loc.id, off), None)
                 self.entry_removals[(a.loc.id, off)] = int(h is not None)
                 if h is not None:
-                    for rn, ri, kind, _ in h.events:
+                    for rn, _, kind, _ in h.events:
                         if kind == "R" and rn.alive:
-                            self._enqueue_reader(rn, ri)
+                            self._enqueue_reader(rn)
             self.base.mark_garbage(a.loc)
         elif isinstance(a, TRead):
             h = self.histories.get((a.loc.id, a.off))
@@ -507,9 +501,9 @@ class Runtime:
     # -- window check (shared definition with the faithful policy) -----------------
 
     def window_dirty(self, node: TraceNode) -> Optional[tuple]:
-        """The first read between the update ending `node` and the next
-        update/push/pop boundary that disagrees with the history at its
-        time, as (read, value now); None when the window is clean."""
+        """The first read after `node` up to the next update/push/pop
+        boundary that disagrees with the history at its time, as (read,
+        value now); None when the window is clean."""
         n = node.next
         while n.kind == "run":
             for i, a in enumerate(n.actions):
@@ -561,7 +555,7 @@ class Runtime:
                         self.matches += 1
                         self.eval_steps += 1  # E.P
                         self._retire_interval(cursor, m)
-                        self._check_matched_window(m)
+                        self._replay_window(m.prev)
                         return
                 _, action, env, command = step(view, env, e, self._saved)
                 view.at = self._record(view.at, action, regions[-1])
@@ -572,8 +566,7 @@ class Runtime:
                     # E.8: close the innermost region, apply the frame.
                     begin = regions.pop()
                     endn = TraceNode("end")
-                    endn.partner, begin.partner = begin, endn
-                    endn.region = begin.region
+                    begin.partner = endn
                     view.at = self._link_after(endn, view.at)
                     env, command = apply_frame(stack.pop(), e.vals)
                     self.eval_steps += 1
@@ -585,7 +578,6 @@ class Runtime:
                 return
             if isinstance(e, A.Push):
                 begin = TraceNode("begin")
-                begin.region = regions[-1]
                 view.at = self._link_after(begin, view.at)
                 regions.append(begin)
                 stack.append(Frame(env, e.fname))
@@ -627,23 +619,18 @@ class Runtime:
             return base_val
         return h.value_at(self.om, key, base_val)
 
-    def _check_matched_window(self, m: TraceNode) -> None:
-        """The faithful machine replays the matched tail from `m`, so a
-        read there before the next update that disagrees with the store
-        gets it stuck."""
-        dirty = self.window_dirty(m.prev)
+    def _replay_window(self, node: TraceNode) -> None:
+        """The faithful machine replays the reads after `node`, a bracket,
+        the head or a memo match's predecessor, so the first one before the
+        next update that disagrees with the store gets it stuck: S.2 if the
+        entry is unavailable, else P.2."""
+        dirty = self.window_dirty(node)
         if dirty is not None:
-            self._stuck_read(*dirty)
-
-    @staticmethod
-    def _stuck_read(a: TRead, cur) -> None:
-        """Get stuck as the faithful machine does replaying the read `a`
-        when the store holds `cur`: S.2 if the entry is unavailable, else
-        P.2."""
-        if cur is None or cur is UNINIT:
-            raise StuckRead(f"read of {a.loc!r}[{a.off!r}] unavailable")
-        raise Stuck("P.2", f"read of {a.loc!r}[{a.off}] sees {cur!r}, "
-                           f"trace recorded {a.val!r}")
+            a, cur = dirty
+            if cur is None or cur is UNINIT:
+                raise StuckRead(f"read of {a.loc!r}[{a.off!r}] unavailable")
+            raise Stuck("P.2", f"read of {a.loc!r}[{a.off}] sees {cur!r}, "
+                               f"trace recorded {a.val!r}")
 
     # -- propagation -------------------------------------------------------------
 
@@ -657,13 +644,15 @@ class Runtime:
         self.matches = 0
         self.reevaluated = []
         self.skipped = 0
-        self.unguarded = []
         self.start_entries = self.live_entries
         for loc, off, val in edits:
             self.mark_dirty(loc, off, val)
         while self.queue:
             node = self.queue.pop(0)
             node.queued = False
+            if node.kind != "run":
+                self._replay_window(node)
+                continue
             if not self.window_dirty(node):
                 self.skipped += 1
                 continue
@@ -675,14 +664,6 @@ class Runtime:
             # the next node.
             self._session(env, act.expr, after=node, cursor=node.next,
                           budget=budget)
-        # Dirty reads with no guard are replayed, not re-run, by the
-        # faithful machine: the first one that still disagrees gets it stuck.
-        alive = [(self._pos_key(n, i), n.actions[i])
-                 for n, i in self.unguarded if n.alive]
-        for key, a in sorted(alive, key=lambda p: p[0]):
-            cur = self._value_now(a.loc, a.off, key)
-            if cur is None or cur is UNINIT or cur != a.val:
-                self._stuck_read(a, cur)
         return self.result()
 
     # -- results --------------------------------------------------------------------

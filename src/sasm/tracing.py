@@ -446,14 +446,12 @@ def run_from_scratch(prog: A.Program, store: Store | None = None,
                      inputs: dict[str, MachineValue] | None = None,
                      fuel: int = DEFAULT_FUEL,
                      policy: Policy = DEFAULT_POLICY,
-                     live: LiveSet | None = None,
                      debug: bool = False) -> BalancedResult:
     """Evaluate from an empty trace; the resulting trace is from-scratch
     consistent by construction."""
     store = store if store is not None else Store()
-    live = live if live is not None else live_vars(prog)
-    m = TracingMachine(store, initial_env(prog, inputs), prog.entry,
-                       None, fun_index=prog.fun_index(), live=live,
+    m = TracingMachine(store, initial_env(prog, inputs), prog.entry, None,
+                       fun_index=prog.fun_index(), live=live_vars(prog),
                        policy=policy, debug=debug)
     result = m.run(fuel)
     if debug:
@@ -474,7 +472,6 @@ def _max_loc_id(t: Trace) -> int:
 
 def propagation_machine(prog: A.Program, reuse: Trace, store: Store,
                         policy: Policy = DEFAULT_POLICY,
-                        live: LiveSet | None = None,
                         debug: bool = False) -> TracingMachine:
     """A machine set up to replay a from-scratch trace over a (possibly
     edited) initial store.
@@ -484,17 +481,15 @@ def propagation_machine(prog: A.Program, reuse: Trace, store: Store,
     reserved up front.
     """
     store.reserve(_max_loc_id(reuse))
-    live = live if live is not None else live_vars(prog)
     return TracingMachine(store, {}, PROP, reuse, fun_index=prog.fun_index(),
-                          live=live, policy=policy, debug=debug)
+                          live=live_vars(prog), policy=policy, debug=debug)
 
 
 def propagate(prog: A.Program, reuse: Trace, store: Store,
               fuel: int = DEFAULT_FUEL,
               policy: Policy = DEFAULT_POLICY,
-              live: LiveSet | None = None,
               debug: bool = False) -> BalancedResult:
-    return propagation_machine(prog, reuse, store, policy, live, debug).run(fuel)
+    return propagation_machine(prog, reuse, store, policy, debug).run(fuel)
 
 
 def non_garbage(store: Store) -> Store:
@@ -650,7 +645,7 @@ def enumerate_schedules(prog: A.Program, store: Store, bound: int = 2000,
         policy = Policy(memo_chooser=choose, update_chooser=choose)
         s = store.copy()
         if reuse is not None:
-            m = propagation_machine(prog, reuse, s, policy, live)
+            m = propagation_machine(prog, reuse, s, policy)
         else:
             m = TracingMachine(s, initial_env(prog, inputs), prog.entry,
                                None, fun_index=fun_index, live=live,

@@ -646,6 +646,19 @@ push g do update let x = read(inp, 1) in let c = alloc(1) in
   let w = write(c, 1, x) in pop(c)
 arity 1
 """,
+    "before-a-stuck-update": """input inp
+let x = read(inp, 1) in update let y = read(inp, 1) in
+  let k = prim eq(y, 5) in
+  if k then pop(y) else let w = read(inp, 2) in pop(w)
+arity 1
+""",
+    "before-a-looping-update": """input inp
+let fun spin(n) = spin(n)
+let x = read(inp, 1) in update let y = read(inp, 1) in
+  let k = prim eq(y, 5) in
+  if k then pop(y) else spin(y)
+arity 1
+""",
 }
 
 
@@ -653,12 +666,15 @@ arity 1
     ("top-level", Stuck, "P.2"),
     ("after-end", Stuck, "P.2"),
     ("retired-location", StuckRead, "S.2"),
+    ("before-a-stuck-update", Stuck, "P.2"),
+    ("before-a-looping-update", Stuck, "P.2"),
 ])
 def test_an_unguarded_dirty_read_sticks_the_same_on_both_engines(
         name, error, family):
     # A dirty read with no enclosing update is replayed, not re-run, so
     # both engines get stuck on it: P.2 on a new value, S.2 when its
-    # location was retired by the re-evaluation before it.
+    # location was retired by the re-evaluation before it.  A read before
+    # a dirty update point sticks before that update re-runs.
     prog = parse_program(_UNGUARDED_READS[name])
     store = Store()
     inp = store.alloc(1)
@@ -667,9 +683,9 @@ def test_an_unguarded_dirty_read_sticks_the_same_on_both_engines(
     s2 = store.copy()
     s2.write(inp, 1, 7)
     with pytest.raises(Stuck) as faithful:
-        propagation_machine(prog, t1.trace, s2).run()
+        propagation_machine(prog, t1.trace, s2).run(fuel=10_000)
     rt = Runtime(prog, store.copy(), inputs={"inp": inp})
     with pytest.raises(Stuck) as fast:
-        rt.propagate([(inp, 1, 7)])
+        rt.propagate([(inp, 1, 7)], fuel=10_000)
     assert type(faithful.value) is type(fast.value) is error
     assert faithful.value.family == fast.value.family == family
