@@ -36,7 +36,6 @@ class LiveSet:
     """Per-expression-id live names (variables and function names)."""
 
     live: dict[int, frozenset[str]]
-    fn_needs: dict[str, frozenset[str]]
     fn_names: frozenset[str]
 
     def at(self, eid: int) -> frozenset[str]:
@@ -90,7 +89,7 @@ def live_vars(prog: A.Program) -> LiveSet:
         live_of(fdef.body, record)
         record[fdef.eid] = needs[fdef.fname]
     live_of(prog.entry, record)
-    return LiveSet(record, needs, frozenset(funs))
+    return LiveSet(record, frozenset(funs))
 
 
 @dataclass

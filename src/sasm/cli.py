@@ -91,16 +91,17 @@ def load_program(path: str, build: str | None = None,
 
 
 def parse_edits_args(args, labels) -> list[Edit]:
-    edits = [parse_edit_line(line) for line in args.edit or []]
+    lines = list(args.edit or [])
     if getattr(args, "edits", None):
         with open(args.edits) as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith(";"):
-                    edits.append(parse_edit_line(line))
-    for e in edits:
-        if e.label not in labels:
-            raise CliError(f"unknown edit label {e.label!r}")
+            lines += [line for line in map(str.strip, fh)
+                      if line and not line.startswith(";")]
+    try:
+        edits = [parse_edit_line(line) for line in lines]
+        for e in edits:
+            e.resolve(labels)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     return edits
 
 
@@ -108,7 +109,12 @@ def fuel_of(args) -> int:
     if args.fuel is not None:
         return args.fuel
     env = os.environ.get("SASM_FUEL")
-    return int(env) if env else DEFAULT_FUEL
+    if not env:
+        return DEFAULT_FUEL
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(f"SASM_FUEL is not an integer: {env!r}") from None
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -371,8 +377,14 @@ FUZZ_LAST_CHECK = {"consistency": "ref-vs-trace",
 def cmd_fuzz(args) -> int:
     """Run the battery on each fuzzed program and a random edit batch, up
     to the check the property names."""
-    lo, _, hi = args.seeds.partition("..")
-    seeds = range(int(lo), int(hi) + 1)
+    lo, sep, hi = args.seeds.partition("..")
+    try:
+        seeds = range(int(lo), int(hi) + 1)
+    except ValueError:
+        seeds = range(0)
+    if not sep or not seeds:
+        raise CliError(f"bad seed range {args.seeds!r} "
+                       "(want A..B with A <= B)")
     fuel = fuel_of(args)
     last = FUZZ_LAST_CHECK[args.prop]
     bad = []

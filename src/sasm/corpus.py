@@ -14,12 +14,18 @@ the allocation rule.
 Cross-iteration dataflow in the list and array programs goes through the
 store (result cells, tail cells), never through popped values: every pop is
 zero-arity, so these programs replay consistently as written.
+
+Each program is written once.  The three array-max variants share one
+round body and differ only in what follows the round's write; map, filter
+and reverse share one pass skeleton and supply only their per-cell body.
+The parser renames a rebound name by binding order, so these templates
+keep every name and the order in which names are bound.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import ilast as A
@@ -43,13 +49,18 @@ class Edit:
     value: int | str  # int, or "@label" for a location
 
     def resolve(self, labels: dict[str, MachineValue]):
+        """(location, offset, value) under `labels`; ValueError when a label
+        is unknown or the edited label is not a location."""
+        if self.label not in labels:
+            raise ValueError(f"unknown edit label {self.label!r}")
         loc = labels[self.label]
         if not isinstance(loc, Loc):
             raise ValueError(f"label {self.label!r} is not a location")
         if isinstance(self.value, str):
-            if not self.value.startswith("@"):
-                raise ValueError(f"bad edit value {self.value!r}")
-            return loc, self.offset, labels[self.value[1:]]
+            name = self.value[1:]
+            if not self.value.startswith("@") or name not in labels:
+                raise ValueError(f"edit value {self.value!r} names no label")
+            return loc, self.offset, labels[name]
         return loc, self.offset, self.value
 
     def line(self) -> str:
@@ -57,12 +68,14 @@ class Edit:
 
 
 def parse_edit_line(line: str) -> Edit:
-    parts = line.split()
-    if len(parts) != 4 or parts[0] != "write":
-        raise ValueError(f"bad edit line {line!r}")
-    _, label, off, val = parts
-    value: int | str = val if val.startswith("@") else int(val)
-    return Edit(label, int(off), value)
+    """Parse 'write LABEL OFFSET VALUE'; VALUE is an integer or @LABEL."""
+    try:
+        verb, label, off, val = line.split()
+        if verb != "write":
+            raise ValueError
+        return Edit(label, int(off), val if val.startswith("@") else int(val))
+    except ValueError:
+        raise ValueError(f"bad edit line {line!r}") from None
 
 
 def apply_edits(store: Store, labels: dict[str, MachineValue],
@@ -162,8 +175,7 @@ def eval_tree_shape(shape: TreeShape) -> int:
     return A.wrap64(lv + rv if op == "+" else lv - rv)
 
 
-def _emit_tree(shape: TreeShape, lines: list[str], names: list[str],
-               counter: list[int]) -> str:
+def _emit_tree(shape: TreeShape, lines: list[str], counter: list[int]) -> str:
     k = counter[0]
     counter[0] += 1
     name = f"n{k}"
@@ -173,80 +185,61 @@ def _emit_tree(shape: TreeShape, lines: list[str], names: list[str],
         lines.append(f"let {name}_v = write({name}, {VAL}, {shape[1]}) in")
     else:
         _, op, l, r = shape
-        lname = _emit_tree(l, lines, names, counter)
-        rname = _emit_tree(r, lines, names, counter)
+        lname = _emit_tree(l, lines, counter)
+        rname = _emit_tree(r, lines, counter)
         opv = PLUS if op == "+" else MINUS
         lines.append(f"let {name}_t = write({name}, {TAG}, {BINOP}) in")
         lines.append(f"let {name}_o = write({name}, {OP}, {opv}) in")
         lines.append(f"let {name}_l = write({name}, {LEFT}, {lname}) in")
         lines.append(f"let {name}_r = write({name}, {RIGHT}, {rname}) in")
-    names.append(name)
     return name
 
 
-def _read_tree(store: Store, labels, loc) -> int:
+def _read_tree(store: Store, loc) -> int:
     tag = store.read(loc, TAG)
     if tag == LEAF:
         return store.read(loc, VAL)
     op = store.read(loc, OP)
-    lv = _read_tree(store, labels, store.read(loc, LEFT))
-    rv = _read_tree(store, labels, store.read(loc, RIGHT))
+    lv = _read_tree(store, store.read(loc, LEFT))
+    rv = _read_tree(store, store.read(loc, RIGHT))
     return A.wrap64(lv + rv if op == PLUS else lv - rv)
 
 
 def gen_exptrees(shape: TreeShape = UPPER_TREE) -> Benchmark:
     """The tree evaluator with a builder for the given shape."""
     lines: list[str] = []
-    root = _emit_tree(shape, lines, [], [0])
-    builder = parse_program("labels root\n" + "\n".join(lines)
-                            + f"\npop({root})\narity 1\n")
-    program = parse_program(EXPTREES_MAIN)
-    bench = Benchmark(
+    root = _emit_tree(shape, lines, [0])
+    return Benchmark(
         name="exptrees",
-        program=program,
-        builder=builder,
+        program=parse_program(EXPTREES_MAIN),
+        builder=parse_program("labels root\n" + "\n".join(lines)
+                              + f"\npop({root})\narity 1\n"),
         observe=lambda values, store, labels: values[0],
-        oracle=lambda store, labels: _read_tree(store, labels, labels["root"]),
+        oracle=lambda store, labels: _read_tree(store, labels["root"]),
     )
-    return bench
 
 
 def exptrees_fixture() -> Benchmark:
     """The worked example: upper tree evaluating to 6; the lower-tree edit
     rebuilds the right subtree to yield 11."""
-    # The spare nodes: j = (g + 5) where g is the upper tree's right child.
-    # The builder wires j's LEFT to the same g node, so the edit only has to
-    # swing root[RIGHT] to j.
+    # The spare node j = (g + 5), where g is the upper tree's right child:
+    # the builder reads g off the root into j's LEFT, so the edit only has
+    # to swing root[RIGHT] to j.
     lines: list[str] = []
-    names: list[str] = []
     counter = [0]
-    root = _emit_tree(UPPER_TREE, lines, names, counter)
-    # g is the root's right child: find it by rebuilding the path.
-    # _emit_tree numbers nodes pre-order: n0=root, n1=left(b), ..., g is the
-    # right child of the root; recover it via a read after the fact instead.
-    new5 = _emit_tree(("leaf", 5), lines, names, counter)
+    root = _emit_tree(UPPER_TREE, lines, counter)
+    new5 = _emit_tree(("leaf", 5), lines, counter)
     j = f"n{counter[0]}"
-    counter[0] += 1
     lines.append(f"let {j} = alloc(5) in")
     lines.append(f"let {j}_t = write({j}, {TAG}, {BINOP}) in")
     lines.append(f"let {j}_o = write({j}, {OP}, {PLUS}) in")
     lines.append(f"let {j}_g = read({root}, {RIGHT}) in")
     lines.append(f"let {j}_l = write({j}, {LEFT}, {j}_g) in")
     lines.append(f"let {j}_r = write({j}, {RIGHT}, {new5}) in")
-    builder_src = "labels root jnode\n" + "\n".join(lines)
-    builder_src += f"\npop({root}, {j})\narity 2\n"
-    builder = parse_program(builder_src)
-    program = parse_program(EXPTREES_MAIN)
-    bench = Benchmark(
-        name="exptrees",
-        program=program,
-        builder=builder,
-        edit_slots=[],
-        observe=lambda values, store, labels: values[0],
-        oracle=lambda store, labels: _read_tree(store, labels, labels["root"]),
-        fixture_edits={"lower": [Edit("root", RIGHT, "@jnode")]},
-    )
-    return bench
+    builder = parse_program("labels root jnode\n" + "\n".join(lines)
+                            + f"\npop({root}, {j})\narity 2\n")
+    return replace(gen_exptrees(), builder=builder,
+                   fixture_edits={"lower": [Edit("root", RIGHT, "@jnode")]})
 
 
 def random_tree(rng: random.Random, depth: int) -> TreeShape:
@@ -279,13 +272,16 @@ let fun finish() = update
 """
 
 ARRAY_MAX_TAIL = """
+let fun while_loop(n) =
+  let go = prim lt(1, n) in
+  if go then round(1, n) else finish()
+
 while_loop(len)
 arity 0
 """
 
-
-def _array_max_round(variant: str) -> str:
-    cont = """
+# After the pair at i: the next pair of this round, or the next round.
+ARRAY_MAX_NEXT = """
     let ip2 = prim add(i, 2) in
     let more = prim lt(ip2, n) in
     if more then
@@ -294,73 +290,32 @@ def _array_max_round(variant: str) -> str:
       let n2 = prim div(n, 2) in
       while_loop(n2)
 """
-    if variant == "a":
-        return f"""
-let fun round(i, n) =
+
+
+def _array_max_round(variant: str) -> str:
+    """The round function: write max(arr[i], arr[i+1]) to arr[(i+1)/2],
+    then go on.  Variant a goes on at once, b after a memo point; c cuts
+    the pair's work into a block and goes on after it."""
+    after_write = {"a": ARRAY_MAX_NEXT, "b": "memo" + ARRAY_MAX_NEXT,
+                   "c": "pop()"}[variant]
+    pair = f"""
   let mptr = alloc(1) in
   let fun after_max() = update
     let m = read(mptr, 1) in
     let i1 = prim add(i, 1) in
     let half = prim div(i1, 2) in
     let wr = write(arr, half, m) in
-    {cont}
+    {after_write}
   in
   push after_max do update
     let a = read(arr, i) in
     let i2 = prim add(i, 1) in
     let b = read(arr, i2) in
     maxfn(a, b, mptr)
-
-let fun while_loop(n) =
-  let go = prim lt(1, n) in
-  if go then round(1, n) else finish()
 """
-    if variant == "b":
-        return f"""
-let fun round(i, n) =
-  let mptr = alloc(1) in
-  let fun after_max() = update
-    let m = read(mptr, 1) in
-    let i1 = prim add(i, 1) in
-    let half = prim div(i1, 2) in
-    let wr = write(arr, half, m) in
-    memo
-    {cont}
-  in
-  push after_max do update
-    let a = read(arr, i) in
-    let i2 = prim add(i, 1) in
-    let b = read(arr, i2) in
-    maxfn(a, b, mptr)
-
-let fun while_loop(n) =
-  let go = prim lt(1, n) in
-  if go then round(1, n) else finish()
-"""
-    assert variant == "c"
-    return f"""
-let fun round(i, n) =
-  cut {{
-    let mptr = alloc(1) in
-    let fun after_max() = update
-      let m = read(mptr, 1) in
-      let i1 = prim add(i, 1) in
-      let half = prim div(i1, 2) in
-      let wr = write(arr, half, m) in
-      pop()
-    in
-    push after_max do update
-      let a = read(arr, i) in
-      let i2 = prim add(i, 1) in
-      let b = read(arr, i2) in
-      maxfn(a, b, mptr)
-  }}
-  {cont}
-
-let fun while_loop(n) =
-  let go = prim lt(1, n) in
-  if go then round(1, n) else finish()
-"""
+    if variant == "c":
+        pair = f"cut {{{pair}}}{ARRAY_MAX_NEXT}"
+    return "\nlet fun round(i, n) =" + pair
 
 
 class BadSize(ValueError):
@@ -459,98 +414,67 @@ roundstart(lst)
 arity 0
 """
 
-LIST_MAP = """
-input lst
-input tcell
 
-let fun mapstep(p) =
+def _list_pass(step: str, cell: str, body: str) -> str:
+    """A single pass over the input list: `body` handles the cell p in a cut
+    block, updating the store cell `cell`; the pass then steps to p's tail."""
+    return f"""
+input lst
+input {cell}
+
+let fun {step}(p) =
   let pz = prim eq(p, 0) in
   if pz then
     pop()
   else
-    cut {
+    cut {{
       update
-        let v = read(p, 1) in
-        let v2 = prim mul(v, 2) in
-        let tail = read(tcell, 1) in
-        let out = alloc(2) in
-        let w1 = write(out, 1, v2) in
-        let w2 = write(out, 2, 0) in
-        let w3 = write(tail, 2, out) in
-        let w4 = write(tcell, 1, out) in
-        pop()
-    }
+        {body}
+    }}
     update
       let rest = read(p, 2) in
-      mapstep(rest)
+      {step}(rest)
 
-mapstep(lst)
+{step}(lst)
 arity 0
 """
 
-LIST_FILTER = """
-input lst
-input tcell
 
-let fun filtstep(p) =
-  let pz = prim eq(p, 0) in
-  if pz then
-    pop()
-  else
-    cut {
-      update
-        let v = read(p, 1) in
-        let m = prim mod(v, 2) in
-        let keep = prim eq(m, 0) in
-        if keep then
+# Append a cell holding {val} at the output tail that tcell holds.
+APPEND_OUT = """
           let tail = read(tcell, 1) in
           let out = alloc(2) in
-          let w1 = write(out, 1, v) in
+          let w1 = write(out, 1, {val}) in
           let w2 = write(out, 2, 0) in
           let w3 = write(tail, 2, out) in
           let w4 = write(tcell, 1, out) in
           pop()
-        else
-          pop()
-    }
-    update
-      let rest = read(p, 2) in
-      filtstep(rest)
-
-filtstep(lst)
-arity 0
 """
 
-LIST_REVERSE = """
-input lst
-input acell
+LIST_MAP = _list_pass("mapstep", "tcell", """
+        let v = read(p, 1) in
+        let v2 = prim mul(v, 2) in""" + APPEND_OUT.format(val="v2"))
 
-let fun revstep(p) =
-  let pz = prim eq(p, 0) in
-  if pz then
-    pop()
-  else
-    cut {
-      update
+LIST_FILTER = _list_pass("filtstep", "tcell", """
+        let v = read(p, 1) in
+        let m = prim mod(v, 2) in
+        let keep = prim eq(m, 0) in
+        if keep then""" + APPEND_OUT.format(val="v") + """
+        else
+          pop()""")
+
+LIST_REVERSE = _list_pass("revstep", "acell", """
         let v = read(p, 1) in
         let a = read(acell, 1) in
         let c = alloc(2) in
         let w1 = write(c, 1, v) in
         let w2 = write(c, 2, a) in
         let w3 = write(acell, 1, c) in
-        pop()
-    }
-    update
-      let rest = read(p, 2) in
-      revstep(rest)
-
-revstep(lst)
-arity 0
-"""
+        pop()""")
 
 
 def _list_builder(values: list[int], extra_cells: list[str],
-                  init_lines: list[str] | None = None) -> A.Program:
+                  init_lines: list[str]) -> A.Program:
     n = len(values)
     if n < 1:
         raise BadSize("list length must be at least 1")
@@ -566,7 +490,7 @@ def _list_builder(values: list[int], extra_cells: list[str],
         lines.append(f"let {name} = alloc(2) in")
         lines.append(f"let {name}_1 = write({name}, 1, 0) in")
         lines.append(f"let {name}_2 = write({name}, 2, 0) in")
-    lines.extend(init_lines or [])
+    lines.extend(init_lines)
     pops = ["c1"] + [f"c{i}" for i in range(1, n + 1)] + extra_cells
     lines.append("pop(" + ", ".join(pops) + ")")
     lines.append(f"arity {len(labels)}")
@@ -590,84 +514,70 @@ def _input_values(store: Store, labels, n: int) -> list[int]:
     return [store.read(labels[f"c{i}"], 1) for i in range(1, n + 1)]
 
 
+def _observe_res(values_, store: Store, labels):
+    return store.read(labels["res"], 1)
+
+
+def _observe_list(label: str, off: int) -> Callable:
+    return lambda values_, store, labels: tuple(
+        walk_list(store, store.read(labels[label], off)))
+
+
+_TCELL_INIT = ["let tini = write(tcell, 1, hdr) in"]
+
+# One row per list primitive: program text, extra builder cells, builder
+# init lines, observe, and the host function of the input values that the
+# oracle applies.
+_LIST_ROWS = {
+    "sum": (LIST_SUM.replace("OPNAME", "add"), ["res"], [], _observe_res,
+            lambda vs: A.wrap64(sum(A.wrap64(x) for x in vs))),
+    "minimum": (LIST_SUM.replace("OPNAME", "min"), ["res"], [],
+                _observe_res, lambda vs: A.wrap64(min(vs))),
+    "map": (LIST_MAP, ["tcell", "hdr"], _TCELL_INIT, _observe_list("hdr", 2),
+            lambda vs: tuple(A.wrap64(v * 2) for v in vs)),
+    "filter": (LIST_FILTER, ["tcell", "hdr"], _TCELL_INIT,
+               _observe_list("hdr", 2),
+               lambda vs: tuple(v for v in vs if v % 2 == 0)),
+    "reverse": (LIST_REVERSE, ["acell"], [], _observe_list("acell", 1),
+                lambda vs: tuple(reversed(vs))),
+}
+
+
 def gen_list(prim: str, n: int, seed: int = 0) -> Benchmark:
     """List benchmarks over seeded cons lists: sum/minimum use pairwise
     reduction rounds; map/filter/reverse are single passes that thread the
     output tail through the store."""
     rng = random.Random(seed)
     values = [rng.randrange(-50, 100) for _ in range(n)]
-    edit_slots = [(f"c{i}", 1) for i in range(1, n + 1)]
-    if prim in ("sum", "minimum"):
-        if n < 2 or n & (n - 1):
-            raise NotPowerOfTwo(f"list length {n} is not a power of two >= 2")
-        op = "add" if prim == "sum" else "min"
-        program = parse_program(LIST_SUM.replace("OPNAME", op))
-        builder = _list_builder(values, ["res"])
-        host = (lambda vs: sum(A.wrap64(x) for x in vs)) if prim == "sum" else min
-
-        def oracle(store, labels, n=n, host=host):
-            return A.wrap64(host(_input_values(store, labels, n)))
-
-        return Benchmark(
-            name=f"list_{prim}", program=program, builder=builder,
-            native_csa=True, edit_slots=edit_slots,
-            observe=lambda values_, store, labels: store.read(labels["res"], 1),
-            oracle=oracle)
-    if prim == "map":
-        program = parse_program(LIST_MAP)
-        builder = _list_builder(values, ["tcell", "hdr"],
-                                ["let tini = write(tcell, 1, hdr) in"])
-        return Benchmark(
-            name="list_map", program=program, builder=builder,
-            native_csa=True, edit_slots=edit_slots,
-            observe=lambda values_, store, labels: tuple(
-                walk_list(store, store.read(labels["hdr"], 2))),
-            oracle=lambda store, labels, n=n: tuple(
-                A.wrap64(v * 2) for v in _input_values(store, labels, n)))
-    if prim == "filter":
-        program = parse_program(LIST_FILTER)
-        builder = _list_builder(values, ["tcell", "hdr"],
-                                ["let tini = write(tcell, 1, hdr) in"])
-        return Benchmark(
-            name="list_filter", program=program, builder=builder,
-            native_csa=True, edit_slots=edit_slots,
-            observe=lambda values_, store, labels: tuple(
-                walk_list(store, store.read(labels["hdr"], 2))),
-            oracle=lambda store, labels, n=n: tuple(
-                v for v in _input_values(store, labels, n) if v % 2 == 0))
-    if prim == "reverse":
-        program = parse_program(LIST_REVERSE)
-        builder = _list_builder(values, ["acell"])
-        return Benchmark(
-            name="list_reverse", program=program, builder=builder,
-            native_csa=True, edit_slots=edit_slots,
-            observe=lambda values_, store, labels: tuple(
-                walk_list(store, store.read(labels["acell"], 1))),
-            oracle=lambda store, labels, n=n: tuple(
-                reversed(_input_values(store, labels, n))))
-    raise ValueError(f"unknown list primitive {prim!r}")
+    if prim not in _LIST_ROWS:
+        raise ValueError(f"unknown list primitive {prim!r}")
+    if prim in ("sum", "minimum") and (n < 2 or n & (n - 1)):
+        raise NotPowerOfTwo(f"list length {n} is not a power of two >= 2")
+    src, cells, init, observe, host = _LIST_ROWS[prim]
+    return Benchmark(
+        name=f"list_{prim}", program=parse_program(src),
+        builder=_list_builder(values, cells, init), native_csa=True,
+        edit_slots=[(f"c{i}", 1) for i in range(1, n + 1)], observe=observe,
+        oracle=lambda store, labels: host(_input_values(store, labels, n)))
 
 
-def corpus_benchmarks(small: bool = True) -> list[Benchmark]:
+def corpus_benchmarks() -> list[Benchmark]:
     """The standard corpus used across the consistency suites."""
-    n = 8 if small else 64
-    out = [
+    arr = [2, 9, 3, 5, 4, 7, 1, 6]
+    return [
         exptrees_fixture(),
         gen_exptrees(random_tree(random.Random(11), 4)),
-        gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "a"),
-        gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "b"),
-        gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "c"),
-        gen_list("sum", n, seed=1),
-        gen_list("minimum", n, seed=2),
-        gen_list("map", n - 1 if small else n, seed=3),
-        gen_list("filter", n - 1 if small else n, seed=4),
-        gen_list("reverse", n - 1 if small else n, seed=5),
-        gen_sort("quicksort", 9 if small else 40, seed=6),
-        gen_sort("mergesort", 9 if small else 40, seed=7),
+        gen_array_max(arr, "a"),
+        gen_array_max(arr, "b"),
+        gen_array_max(arr, "c"),
+        gen_list("sum", 8, seed=1),
+        gen_list("minimum", 8, seed=2),
+        gen_list("map", 7, seed=3),
+        gen_list("filter", 7, seed=4),
+        gen_list("reverse", 7, seed=5),
+        gen_sort("quicksort", 9, seed=6),
+        gen_sort("mergesort", 9, seed=7),
     ]
-    return out
-
-
 
 
 # -- sorting (stretch entries, oracle-only acceptance) --------------------------
@@ -843,7 +753,7 @@ def gen_sort(algo: str, n: int, seed: int = 0) -> Benchmark:
     values = [rng.randrange(-50, 100) for _ in range(n)]
     src = {"quicksort": LIST_QUICKSORT, "mergesort": LIST_MERGESORT}[algo]
     program = parse_program(src)
-    builder = _list_builder(values, [])
+    builder = _list_builder(values, [], [])
 
     def observe(values_, store, labels):
         head = values_[0]
@@ -866,46 +776,31 @@ def standalone_exptrees_source() -> str:
     """A self-contained exptrees file: the input builder inlined as a
     straight-line prelude of the entry expression."""
     lines: list[str] = []
-    names: list[str] = []
-    counter = [0]
-    root = _emit_tree(UPPER_TREE, lines, names, counter)
+    root = _emit_tree(UPPER_TREE, lines, [0])
     defs = EXPTREES_MAIN.split("eval(root)")[0].replace("input root\n", "")
     return defs + "\n".join(lines) + f"\neval({root})\narity 1\n"
 
 
 def emit_corpus_files(directory: str) -> list[str]:
     """Write the corpus .il files (program + builder pairs) and return the
-    paths written."""
+    paths written.  The first benchmark of each name is written: the
+    random tree shares the worked example's program."""
     import os
     from .printer import print_program
 
     os.makedirs(directory, exist_ok=True)
+    texts = {"exptrees_standalone.il": standalone_exptrees_source()}
+    for b in corpus_benchmarks():
+        texts.setdefault(f"{b.name}.il", print_program(b.program))
+        texts.setdefault(f"{b.name}.build.il", print_program(b.builder))
     written = []
-
-    def put(name: str, text: str) -> None:
+    for name, text in texts.items():
         path = os.path.join(directory, name)
         with open(path, "w") as fh:
             fh.write(text)
         written.append(path)
-
-    bench = exptrees_fixture()
-    put("exptrees.il", print_program(bench.program))
-    put("exptrees.build.il", print_program(bench.builder))
-    put("exptrees_standalone.il", standalone_exptrees_source())
-    for variant in "abc":
-        b = gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], variant)
-        put(f"array_max_{variant}.il", print_program(b.program))
-        put(f"array_max_{variant}.build.il", print_program(b.builder))
-    for prim, n, seed in (("sum", 8, 1), ("minimum", 8, 2), ("map", 7, 3),
-                          ("filter", 7, 4), ("reverse", 7, 5)):
-        b = gen_list(prim, n, seed)
-        put(f"list_{prim}.il", print_program(b.program))
-        put(f"list_{prim}.build.il", print_program(b.builder))
-    for algo, n, seed in (("quicksort", 9, 6), ("mergesort", 9, 7)):
-        b = gen_sort(algo, n, seed)
-        put(f"list_{algo}.il", print_program(b.program))
-        put(f"list_{algo}.build.il", print_program(b.builder))
     return written
+
 
 __all__ = [
     "Benchmark", "Edit", "apply_edits", "parse_edit_line", "deref_result",

@@ -100,8 +100,6 @@ def _tracing(tag: str, c: tuple[int, int, int]):
 
 M_TRACING = CostModel("M_t", (0, 0, 0), _tracing)
 
-MODELS = (M_STEPS, M_STORE, M_STACK, M_TRACING)
-
 
 def cost_apply(model: CostModel, tag: str, cost):
     return model.gamma(tag, cost)
@@ -225,6 +223,6 @@ def max_pop_arity(prog) -> int:
 
 
 __all__ = ["CostModel", "CostVector", "M_STEPS", "M_STORE", "M_STACK",
-           "M_TRACING", "MODELS", "cost_apply", "cost_of_run", "cost_vector",
+           "M_TRACING", "cost_apply", "cost_of_run", "cost_vector",
            "check_dps_overhead", "DpsOverheadReport", "BoundViolated",
            "UnknownTag", "REF_TAGS", "TRACE_TAGS", "max_pop_arity"]

@@ -45,7 +45,6 @@ class DpsContext:
     skip_pushes: set[int] = field(default_factory=set)
     plain_funs: set[str] = field(default_factory=set)
     dest_counter: int = 0
-    wrapper_alloc_count: int = 0
 
     @classmethod
     def for_program(cls, prog: A.Program) -> "DpsContext":
@@ -132,7 +131,6 @@ def dps_convert(e: A.Expr, dest: str, ctx: DpsContext) -> A.Expr:
             body=A.Memo(body=A.Inst(var=zb, inst=A.Alloc(size=n),
                                     cont=dps_convert(e.body, zb, ctx))),
             pos=e.pos)
-        ctx.wrapper_alloc_count += 1
         return A.FunDef(fname=w, params=(zr,), body=wrapper_body, cont=pushed,
                         pos=e.pos)
     if isinstance(e, A.Pop):
@@ -183,7 +181,7 @@ def _fn_refs(e: A.Expr, acc: set[str]) -> None:
             acc.add(node.fname)
 
 
-def dps_selective(prog: A.Program, region_info=None) -> A.Program:
+def dps_selective(prog: A.Program) -> A.Program:
     """Convert, skipping push bodies that cannot reach an update point.
 
     A function referenced from both a skipped body and converted code would
@@ -192,7 +190,7 @@ def dps_selective(prog: A.Program, region_info=None) -> A.Program:
     """
     if prog.dps_marker:
         raise AlreadyConverted("program is already in destination-passing style")
-    info = region_info if region_info is not None else region_no_update(prog)
+    info = region_no_update(prog)
     funs = prog.fun_index()
 
     if not expr_reaches_update(prog.entry, info.fn_reaches) and not any(

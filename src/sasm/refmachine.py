@@ -136,7 +136,7 @@ def apply_frame(frame: Frame,
     return env, fdef.body
 
 
-def ref_step(c: RefConfig, debug: bool = False) -> str:
+def ref_step(c: RefConfig) -> str:
     """Apply the unique applicable rule; mutate c; return the rule tag.
 
     Returns TERMINATED when the command is a value vector and the stack is
@@ -144,8 +144,6 @@ def ref_step(c: RefConfig, debug: bool = False) -> str:
     """
     cmd = c.command
     if isinstance(cmd, Values):
-        if debug:
-            assert isinstance(cmd.vals, tuple)
         if not c.stack:
             return TERMINATED
         c.env, c.command = apply_frame(c.stack.pop(), cmd.vals)

@@ -479,19 +479,18 @@ class Runtime:
     # -- memo matching -----------------------------------------------------------
 
     def _find_match(self, memo: A.Memo, env: dict, cursor: TraceNode,
-                    region: Optional[TraceNode], region_end: TraceNode):
+                    region: Optional[TraceNode]):
         var_items, _ = self._saved(env, memo.eid)
         cands = self.memo_index.get((memo.eid, var_items))
         if not cands:
             return None
         lo = self.om.key(cursor)
-        hi = self.om.key(region_end)
         best = None
         for node in cands:
             if node.region is not region:
                 continue
             key = self.om.key(node)
-            if lo <= key < hi and (best is None or key < best[0]):
+            if lo <= key and (best is None or key < best[0]):
                 best = (key, node)
         return best[1] if best else None
 
@@ -550,7 +549,7 @@ class Runtime:
                     self.eval_steps += 1
                     continue
                 if isinstance(e, A.Memo) and not stack and cursor is not None:
-                    m = self._find_match(e, env, cursor, region, region_end)
+                    m = self._find_match(e, env, cursor, region)
                     if m is not None:
                         self.matches += 1
                         self.eval_steps += 1  # E.P

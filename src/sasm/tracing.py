@@ -50,8 +50,6 @@ TERMINATED = "terminated"
 
 EVAL_TAGS = frozenset(
     ["E.0", "E.1", "E.2", "E.3", "E.4", "E.5", "E.6", "E.7", "E.8"])
-PROP_TAGS = frozenset(
-    ["P.1", "P.2", "P.3", "P.4", "P.5", "P.6", "P.7", "P.8"])
 UNDO_TAGS = frozenset(["U.1", "U.2", "U.3", "U.4"])
 
 
@@ -611,8 +609,7 @@ class BoundExceeded(Exception):
 
 def enumerate_schedules(prog: A.Program, store: Store, bound: int = 2000,
                         reuse: Trace = None,
-                        inputs: dict[str, MachineValue] | None = None,
-                        max_branch: int = 14):
+                        inputs: dict[str, MachineValue] | None = None):
     """Exhaust the machine's nondeterminism on a tiny program.
 
     Explores every take/skip choice at memo matches (E.P vs E.4) and every
@@ -632,8 +629,8 @@ def enumerate_schedules(prog: A.Program, store: Store, bound: int = 2000,
         if script in seen:
             continue
         seen.add(script)
-        if len(script) > max_branch:
-            raise BoundExceeded(f"more than {max_branch} choice points")
+        if len(script) > 14:
+            raise BoundExceeded("more than 14 choice points")
         used = 0
 
         def choose(_flag: bool) -> bool:
@@ -672,5 +669,5 @@ __all__ = [
     "TracingMachine", "run_from_scratch", "propagate", "non_garbage",
     "check_garbage_unreachable", "canonicalize", "canonical_result",
     "enumerate_schedules", "BoundExceeded", "saved_env", "STEP_RULES",
-    "EVAL_TAGS", "PROP_TAGS", "UNDO_TAGS",
+    "EVAL_TAGS", "UNDO_TAGS",
 ]

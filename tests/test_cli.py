@@ -163,13 +163,52 @@ def test_bench_row(capsys):
     ids=["list_quicksort", "list_mergesort", "list_bogus", "list_sum-48",
          "array_max-6", "list_map-0", "list_reverse--3"])
 def test_bench_bad_name_or_size_is_an_error_line(argv, message):
+    assert_error_line(["bench", *argv], message)
+
+
+def assert_error_line(argv, message, **env):
+    """Run the CLI as a subprocess: exit 1 with an `error:` line, no
+    traceback."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "sasm.cli", "bench", *argv],
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    proc = subprocess.run([sys.executable, "-m", "sasm.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {message}"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cmd, edit, message", [
+    ("propagate", "bogus", "bad edit line 'bogus'"),
+    ("check", "bogus", "bad edit line 'bogus'"),
+    ("propagate", "write arr x 1", "bad edit line 'write arr x 1'"),
+    ("check", "write arr 1 @nolabel", "edit value '@nolabel' names no label"),
+    ("propagate", "write len 1 5", "label 'len' is not a location"),
+    ("propagate", "write nolabel 1 5", "unknown edit label 'nolabel'")],
+    ids=["propagate-bogus", "check-bogus", "offset-x", "value-nolabel",
+         "not-a-location", "unknown-label"])
+def test_malformed_edit_is_an_error_line(cmd, edit, message):
+    assert_error_line([cmd, corpus_path("array_max_b.il"), "--edit", edit],
+                      message)
+
+
+def test_malformed_edits_file_line_is_an_error_line(tmp_path):
+    script = tmp_path / "bad.edits"
+    script.write_text("; a comment\nwrite arr 1 7\nwrite arr 1 zz\n")
+    assert_error_line(["propagate", corpus_path("array_max_b.il"),
+                       "--edits", str(script)],
+                      "bad edit line 'write arr 1 zz'")
+
+
+@pytest.mark.parametrize("seeds", ["5", "a..b", "3..1"])
+def test_fuzz_bad_seed_range_is_an_error_line(seeds):
+    assert_error_line(["fuzz", "--seeds", seeds],
+                      f"bad seed range {seeds!r}")
+
+
+def test_non_integer_sasm_fuel_is_an_error_line():
+    assert_error_line(["run", corpus_path("exptrees.il")],
+                      "SASM_FUEL is not an integer: 'lots'", SASM_FUEL="lots")
 
 
 @pytest.mark.parametrize("prop", ["consistency", "dps", "fastvsfaithful"])

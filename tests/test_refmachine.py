@@ -140,7 +140,7 @@ def test_determinism_same_run_twice(corpus):
 def test_step_terminates_with_values_on_empty_stack():
     p = parse_program("pop(1, 2)\narity 2")
     c = RefConfig(store=Store(), stack=[], env={}, command=p.entry)
-    assert ref_step(c, debug=True) == "R.10"
-    tag = ref_step(c, debug=True)
+    assert ref_step(c) == "R.10"
+    tag = ref_step(c)
     assert tag == "terminated"
     assert isinstance(c.command, Values) and c.command.vals == (1, 2)
