@@ -106,15 +106,18 @@ def parse_edits_args(args, labels) -> list[Edit]:
 
 
 def fuel_of(args) -> int:
-    if args.fuel is not None:
-        return args.fuel
-    env = os.environ.get("SASM_FUEL")
-    if not env:
-        return DEFAULT_FUEL
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError(f"SASM_FUEL is not an integer: {env!r}") from None
+    fuel, source = args.fuel, "--fuel"
+    if fuel is None:
+        env, source = os.environ.get("SASM_FUEL"), "SASM_FUEL"
+        if not env:
+            return DEFAULT_FUEL
+        try:
+            fuel = int(env)
+        except ValueError:
+            raise CliError(f"SASM_FUEL is not an integer: {env!r}") from None
+    if fuel < 1:
+        raise CliError(f"{source} must be at least 1, not {fuel}")
+    return fuel
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -279,6 +282,8 @@ def _bench_by_name(name: str, n: int, variant: str, seed: int):
 
 
 def cmd_bench(args) -> int:
+    if args.edits < 0:
+        raise CliError(f"--edits must not be negative, not {args.edits}")
     fuel = fuel_of(args)
     bench = _bench_by_name(args.name, args.n, args.variant, args.seed)
     store, labels, inputs = bench.build()

@@ -21,11 +21,13 @@ the trace: the nearest earlier run node that ends in an update (its guard,
 whose re-evaluation re-runs it), unless a bracket or the head comes first.
 
 The trace is its own order-maintenance list: a node's integer label is its
-timestamp.  Timestamps do the heavy lifting: new nodes are inserted between
-the re-evaluated update point and the doomed old interval, so a history
-lookup at a new node's time sees exactly the store the faithful machine
-would see at that replay moment (earlier writes included, unreplayed and
-later writes excluded).
+timestamp.  An entry's history bisects on its events' live labels, in C;
+relabeling keeps trace order, so there is nothing to refresh, and each read,
+write or retirement searches its history once.  New nodes are inserted
+between the re-evaluated update point and the doomed old interval, so a
+history lookup at a new node's time sees exactly the store the faithful
+machine would see at that replay moment (earlier writes included,
+unreplayed and later writes excluded).
 
 A propagation costs what changed, not the whole run: its result carries the
 values and counts, kept up to date as nodes are linked and unlinked, and
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from . import ilast as A
@@ -171,63 +174,61 @@ class TraceNode(OMHandle):
 # -- per-entry histories -----------------------------------------------------------
 
 
-def _by_time(om: OrderMaintenance):
-    """The sort key of an entry-history event: its node's timestamp, then
-    its index in the node."""
-    return lambda ev: (om.key(ev[0]), ev[1])
+class Event:
+    """A read ("R") or write ("W") of one entry: action `idx` of `node`."""
+
+    __slots__ = ("node", "idx", "kind", "value")
+
+    def __init__(self, node: TraceNode, idx: int, kind: str, value):
+        self.node, self.idx, self.kind, self.value = node, idx, kind, value
+
+
+_LABEL = attrgetter("node.label")
 
 
 class EntryHistory:
     """All reads and writes of one store entry across the retained trace,
-    ordered by timestamp; the value at a time is the latest write at or
-    before it, falling back to the base store.
+    ordered by timestamp; the value at a time is the latest write before
+    it, falling back to the base store.
 
-    Relabeling keeps timestamp order, so the events stay sorted by their
-    current keys and lookups bisect on them."""
+    Every event's node is alive, and relabeling keeps trace order, so the
+    events stay sorted by their nodes' live labels (then by index in the
+    node): a lookup bisects on the labels themselves, and nothing is cached
+    or refreshed on relabel.  Lookups return positions in `events`."""
 
     __slots__ = ("events",)
 
     def __init__(self):
-        self.events: list[list] = []  # [node, idx, kind, value]
+        self.events: list[Event] = []
 
-    def insert(self, om, node, idx, kind, value) -> None:
-        insort(self.events, [node, idx, kind, value], key=_by_time(om))
-
-    def remove(self, om, node, idx) -> bool:
+    def find(self, om, node, idx) -> int:
+        """The position of the first event at or after action `idx` of the
+        live node `node`."""
         events = self.events
-        k = bisect_left(events, (om.key(node), idx), key=_by_time(om))
-        if k < len(events) and events[k][0] is node and events[k][1] == idx:
-            del events[k]
-            return True
-        return False
+        k = bisect_left(events, om.key(node), key=_LABEL)
+        while k < len(events) and events[k].node is node \
+                and events[k].idx < idx:
+            k += 1
+        return k
 
-    def value_at(self, om, key, base_value):
-        """The latest write before `key`, else base_value."""
-        k = bisect_left(self.events, key, key=_by_time(om))
+    def after(self, om, node) -> int:
+        """The position after every event of the live node `node`."""
+        return bisect_right(self.events, om.key(node), key=_LABEL)
+
+    def insert(self, om, node, idx, kind, value) -> int:
+        k = self.find(om, node, idx)
+        self.events.insert(k, Event(node, idx, kind, value))
+        return k
+
+    def write_before(self, k: int, base_value):
+        """The value of the latest write before position k, else
+        base_value."""
+        events = self.events
         while k:
             k -= 1
-            ev = self.events[k]
-            if ev[2] == "W":
-                return ev[3]
+            if events[k].kind == "W":
+                return events[k].value
         return base_value
-
-    def last_write(self, base_value):
-        for node, idx, kind, value in reversed(self.events):
-            if kind == "W":
-                return value
-        return base_value
-
-    def readers_after(self, om, key) -> list:
-        """(node, idx, value) of the reads after `key`, up to the entry's
-        next write."""
-        events = self.events
-        k = bisect_right(events, key, key=_by_time(om))
-        out = []
-        while k < len(events) and events[k][2] == "R":
-            node, idx, _, value = events[k]
-            out.append((node, idx, value))
-            k += 1
-        return out
 
 
 # -- the store seen by an evaluation session ------------------------------------
@@ -252,9 +253,7 @@ class _SessionStore:
         return self.rt.base.alloc(size, loc_id)
 
     def read(self, loc, off) -> MachineValue:
-        rt = self.rt
-        # Index 1 << 40 places the key after every action of `at`.
-        v = rt._value_now(loc, off, (rt.om.key(self.at), 1 << 40))
+        v = self.rt._value_now(loc, off, self.at)
         if v is None or v is UNINIT:
             raise StuckRead(f"read of {loc!r}[{off!r}] unavailable")
         return v
@@ -309,9 +308,6 @@ class FastResult:
         return self._read("trace", self.runtime.build_trace)
 
 
-MINKEY = (-1, -1)
-
-
 class Runtime:
     """A retained run of one program over one input store (single-owner)."""
 
@@ -364,9 +360,6 @@ class Runtime:
             h = self.histories[(lid, off)] = EntryHistory()
         return h
 
-    def _pos_key(self, node: TraceNode, idx: int):
-        return (self.om.key(node), idx)
-
     # -- queue ------------------------------------------------------------------
 
     @staticmethod
@@ -410,27 +403,22 @@ class Runtime:
         self.base.write(loc, off, value)
         h = self.histories.get((loc.id, off))
         if h is not None:
-            self._invalidate(h, MINKEY, value)
+            self._invalidate(h, 0, value)
 
-    def _invalidate(self, h: EntryHistory, key, value) -> None:
-        """Enqueue the reads after `key`, up to the entry's next write,
+    def _invalidate(self, h: EntryHistory, k: int, value) -> None:
+        """Enqueue the reads from position k up to the entry's next write
         whose recorded value differs from `value`."""
-        for node, _, recorded in h.readers_after(self.om, key):
-            if recorded != value:
-                self._enqueue_reader(node)
+        events = h.events
+        while k < len(events) and events[k].kind == "R":
+            if events[k].value != value:
+                self._enqueue_reader(events[k].node)
+            k += 1
 
     def _commit_write(self, node: TraceNode, idx: int, a: TWrite) -> None:
         """Insert a write event and enqueue the readers it breaks."""
         h = self._hist(a.loc.id, a.off)
-        self._invalidate(h, self._pos_key(node, idx), a.val)
-        h.insert(self.om, node, idx, "W", a.val)
-
-    def _remove_write(self, node: TraceNode, idx: int, a: TWrite) -> None:
-        h = self._hist(a.loc.id, a.off)
-        key = self._pos_key(node, idx)
-        h.remove(self.om, node, idx)
-        self._invalidate(h, key, h.value_at(self.om, key,
-                                            self.base.peek(a.loc, a.off)))
+        self._invalidate(h, h.insert(self.om, node, idx, "W", a.val) + 1,
+                         a.val)
 
     # -- retirement (the undo steps) ------------------------------------------------
 
@@ -444,17 +432,19 @@ class Runtime:
                 h = self.histories.pop((a.loc.id, off), None)
                 self.entry_removals[(a.loc.id, off)] = int(h is not None)
                 if h is not None:
-                    for rn, _, kind, _ in h.events:
-                        if kind == "R" and rn.alive:
-                            self._enqueue_reader(rn)
+                    for ev in h.events:
+                        if ev.kind == "R" and ev.node.alive:
+                            self._enqueue_reader(ev.node)
             self.base.mark_garbage(a.loc)
-        elif isinstance(a, TRead):
+        elif isinstance(a, (TRead, TWrite)):
             h = self.histories.get((a.loc.id, a.off))
             if h is not None:
-                h.remove(self.om, node, idx)
-        elif isinstance(a, TWrite):
-            if (a.loc.id, a.off) in self.histories:
-                self._remove_write(node, idx, a)
+                k = h.find(self.om, node, idx)
+                del h.events[k]
+                if isinstance(a, TWrite):
+                    # Its readers now see the write before it.
+                    self._invalidate(h, k, h.write_before(
+                        k, self.base.peek(a.loc, a.off)))
         elif isinstance(a, TMemo):
             # A memo point starts its node, so the node is listed once.
             lst = self.memo_index[(a.eid, a.env)]
@@ -509,7 +499,7 @@ class Runtime:
                 if isinstance(a, (TUpdate, TPop)):
                     return None
                 if isinstance(a, TRead):
-                    cur = self._value_now(a.loc, a.off, self._pos_key(n, i))
+                    cur = self._value_now(a.loc, a.off, n, i)
                     if cur is None or cur is UNINIT or cur != a.val:
                         return a, cur
             n = n.next
@@ -607,7 +597,9 @@ class Runtime:
             self.memo_index.setdefault((a.eid, a.env), []).append(at)
         return at
 
-    def _value_now(self, loc, off, key):
+    def _value_now(self, loc, off, node: TraceNode, idx=None):
+        """The entry's value just before action `idx` of `node`, or after
+        all of `node`'s actions when idx is None; None if unavailable."""
         if not isinstance(loc, Loc) or not isinstance(off, int):
             return None
         if loc.id in self.base.garbage:
@@ -616,7 +608,9 @@ class Runtime:
         h = self.histories.get((loc.id, off))
         if h is None:
             return base_val
-        return h.value_at(self.om, key, base_val)
+        k = h.after(self.om, node) if idx is None else \
+            h.find(self.om, node, idx)
+        return h.write_before(k, base_val)
 
     def _replay_window(self, node: TraceNode) -> None:
         """The faithful machine replays the reads after `node`, a bracket,
@@ -711,7 +705,7 @@ class Runtime:
             if lid in store.garbage:
                 continue
             base_val = store.cells.get((lid, off))
-            v = h.last_write(base_val)
+            v = h.write_before(len(h.events), base_val)
             if v is not None and (lid, off) in store.cells:
                 store.cells[(lid, off)] = v
         return store

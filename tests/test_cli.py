@@ -206,6 +206,21 @@ def test_fuzz_bad_seed_range_is_an_error_line(seeds):
                       f"bad seed range {seeds!r}")
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["bench", "array_max", "--n", "8", "--edits", "-2"], {},
+     "--edits must not be negative, not -2"),
+    (["run", corpus_path("exptrees.il"), "--fuel", "-3"], {},
+     "--fuel must be at least 1, not -3"),
+    (["fuzz", "--seeds", "0..1", "--fuel", "0"], {},
+     "--fuel must be at least 1, not 0"),
+    (["run", corpus_path("exptrees.il")], {"SASM_FUEL": "0"},
+     "SASM_FUEL must be at least 1, not 0"),
+])
+def test_negative_edits_or_fuel_below_one_is_an_error_line(argv, env,
+                                                          message):
+    assert_error_line(argv, message, **env)
+
+
 def test_non_integer_sasm_fuel_is_an_error_line():
     assert_error_line(["run", corpus_path("exptrees.il")],
                       "SASM_FUEL is not an integer: 'lots'", SASM_FUEL="lots")

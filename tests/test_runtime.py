@@ -2,6 +2,7 @@
 histories, dirtying, and full equivalence against the faithful machine."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -130,9 +131,22 @@ def test_naive_order_matches_a_plain_list():
     assert most_chunks > 10 and dropped > 10
 
 
+def _readers_from(h, k):
+    """(node, idx, value) of the reads from position k of `h` up to the
+    entry's next write."""
+    out = []
+    while k < len(h.events) and h.events[k].kind == "R":
+        ev = h.events[k]
+        out.append((ev.node, ev.idx, ev.value))
+        k += 1
+    return out
+
+
 def test_entry_history_against_a_sorted_list_oracle():
     # Nodes are inserted often right after the first few, so labels run out
     # and successors are spread: the events are looked up across relabels.
+    # Half the new events go to a node that already holds one, so nodes
+    # hold several events, which share its label and are ordered by index.
     rng = random.Random(3)
     om = OrderMaintenance(origin=TraceNode("head"))
     head = om.origin()
@@ -140,12 +154,10 @@ def test_entry_history_against_a_sorted_list_oracle():
     rank = {head: 0}
     h = EntryHistory()
     events = []  # the oracle: (node, idx, kind, value) in any order
+    shared_probes = 0
 
     def pos(node, idx):
         return (rank[node], idx)
-
-    def key(node, idx):
-        return (om.key(node), idx)
 
     for _ in range(1200):
         r = rng.random()
@@ -156,28 +168,43 @@ def test_entry_history_against_a_sorted_list_oracle():
             order.insert(order.index(after) + 1, node)
             rank = {n: k for k, n in enumerate(order)}
         elif r < 0.85 or not events:
-            node, idx = rng.choice(order[1:]), rng.randrange(4)
+            node = rng.choice(order[1:]) if rng.random() < 0.5 or \
+                not events else rng.choice(events)[0]
+            idx = rng.randrange(4)
             if any(ev[0] is node and ev[1] == idx for ev in events):
                 continue
             ev = (node, idx, rng.choice("RW"), rng.randrange(5))
-            h.insert(om, *ev)
+            k = h.insert(om, *ev)
+            assert h.events[k].node is node and h.events[k].idx == idx
             events.append(ev)
         else:
             node, idx, _, _ = events.pop(rng.randrange(len(events)))
-            assert h.remove(om, node, idx)
+            k = h.find(om, node, idx)
+            assert h.events[k].node is node and h.events[k].idx == idx
+            del h.events[k]
         want = sorted(events, key=lambda ev: pos(ev[0], ev[1]))
-        assert [tuple(ev) for ev in h.events] == want
+        assert [(ev.node, ev.idx, ev.kind, ev.value)
+                for ev in h.events] == want
         writes = [ev[3] for ev in want if ev[2] == "W"]
-        assert h.last_write("base") == (writes[-1] if writes else "base")
+        assert h.write_before(len(h.events), "base") == (
+            writes[-1] if writes else "base")
         probes = [(head, -1)] + [(n, i) for n in rng.sample(order, 2)
                                  for i in (-1, 0, 4)]
         probes += [ev[:2] for ev in rng.sample(events, min(3, len(events)))]
+        held = Counter(ev[0] for ev in events)
+        shared = [n for n in order if held[n] > 1]
+        if shared:
+            probes += [(rng.choice(shared), i) for i in range(-1, 5)]
         for node, idx in probes:
             p = pos(node, idx)
+            k = h.find(om, node, idx)
+            assert k == sum(pos(ev[0], ev[1]) < p for ev in want)
             writes = [ev[3] for ev in want
                       if ev[2] == "W" and pos(ev[0], ev[1]) < p]
-            assert h.value_at(om, key(node, idx), "base") == (
+            assert h.write_before(k, "base") == (
                 writes[-1] if writes else "base")
+            after = h.after(om, node)
+            assert after == sum(rank[ev[0]] <= rank[node] for ev in want)
             readers = []
             for ev in want:
                 if pos(ev[0], ev[1]) <= p:
@@ -185,8 +212,13 @@ def test_entry_history_against_a_sorted_list_oracle():
                 if ev[2] == "W":
                     break
                 readers.append((ev[0], ev[1], ev[3]))
-            assert h.readers_after(om, key(node, idx)) == readers
+            # A write at (node, idx) breaks the reads after its position.
+            at = k < len(h.events) and h.events[k].node is node \
+                and h.events[k].idx == idx
+            assert _readers_from(h, k + at) == readers
+            shared_probes += node in shared
     assert om.relabels > 3
+    assert shared_probes > 100
 
 
 def _run_shapes(body):
@@ -271,6 +303,28 @@ def _check_run_nodes(rt, where):
         assert n.label < n.next.label, where
         n = n.next
     assert n.alive, where
+    # The histories index exactly the live reads and writes of live
+    # entries, each once, in (label, idx) order: lookups bisect on the
+    # nodes' labels and check no event's node for liveness.
+    indexed = Counter()
+    for (lid, off), h in rt.histories.items():
+        keys = [(ev.node.label, ev.idx) for ev in h.events]
+        assert all(a < b for a, b in zip(keys, keys[1:])), where
+        for ev in h.events:
+            assert ev.node.alive, where
+            a = ev.node.actions[ev.idx]
+            assert type(a) is (TRead if ev.kind == "R" else TWrite), where
+            assert (a.loc.id, a.off, a.val) == (lid, off, ev.value), where
+            indexed[(ev.node, ev.idx)] += 1
+    live = Counter()
+    n = rt.head.next
+    while n is not rt.tail:
+        if n.kind == "run":
+            live.update((n, i) for i, a in enumerate(n.actions)
+                        if isinstance(a, (TRead, TWrite))
+                        and a.loc.id not in rt.base.garbage)
+        n = n.next
+    assert indexed == live, where
 
 
 def test_run_nodes_are_packed_maximally_and_guarded_by_trace_order(corpus):
@@ -521,6 +575,30 @@ def test_soak_list_map_keeps_updates_last_and_no_garbage_histories():
             assert canonicalize(fast.values, fast.trace, fast.store, host) == \
                 canonicalize(fresh.values, fresh.trace, fresh.store, host), \
                 batch
+
+
+def test_soak_head_edits_look_up_histories_across_relabels():
+    # Each edit near the list head re-runs the whole tail, inserting its
+    # new nodes before the old ones, so labels run out and are spread while
+    # the histories are searched on them.
+    bench = gen_list("map", 64, seed=4)
+    store, labels, inputs = bench.build()
+    host = store.copy()
+    rt = Runtime(bench.program, store.copy(), inputs=inputs)
+    rng = random.Random(8)
+    built = rt.om.relabels
+    for batch in range(1, 201):
+        edits = [Edit(f"c{rng.randint(1, 3)}", 1, rng.randrange(100))]
+        apply_edits(host, labels, edits)
+        fast = rt.propagate([e.resolve(labels) for e in edits])
+        if batch % 20 == 0:
+            _check_run_nodes(rt, batch)
+            fresh = run_from_scratch(bench.program, non_garbage(host.copy()),
+                                     inputs=inputs)
+            assert canonicalize(fast.values, fast.trace, fast.store, host) == \
+                canonicalize(fresh.values, fresh.trace, fresh.store, host), \
+                batch
+    assert rt.om.relabels > built + 200
 
 
 def _store_state(s):
