@@ -8,15 +8,18 @@ enqueues the nodes that check them.  The queue holds update nodes, brackets
 and the head in trace order.  A dequeued update point is re-verified against
 the history and re-runs just the evaluation steps, splicing new trace nodes
 over the interval they replace; a memo hit ends the re-run and keeps the
-matched tail in place.  A dequeued bracket or head replays its reads, as the
-faithful machine does at that point.  Retained actions are never replayed,
-so propagation steps cost nothing here; realized cost is the evaluation plus
-undo work alone.
+matched tail in place.  A dequeued node stays queued until its check ends,
+so its own re-evaluation's writes cannot queue it again.  A dequeued
+bracket or head replays its reads, as the faithful machine does at that
+point.  Retained actions are never replayed, so propagation steps cost
+nothing here; realized cost is the evaluation plus undo work alone.
 
 Consecutive actions share a node: a memo point starts a node and an update
 point ends one, so the interval a re-evaluation replaces starts at a node
-boundary and no node is ever split.  Each action goes into its node and is
-indexed as soon as it is traced.  The node that checks a read is read off
+boundary and no node is ever split.  A session steps the traced rules
+through the Runtime itself: `at` is the node it linked last, a read sees
+the entry's history just after `at`, and each action goes into its node and
+is indexed as soon as it is traced.  The node that checks a read is read off
 the trace: the nearest earlier run node that ends in an update (its guard,
 whose re-evaluation re-runs it), unless a bracket or the head comes first.
 
@@ -160,7 +163,7 @@ class TraceNode(OMHandle):
         self.actions: list = []
         self.region: Optional["TraceNode"] = None  # innermost begin node
         self.partner: Optional["TraceNode"] = None  # begin -> end
-        self.queued = False  # waiting in Runtime.queue
+        self.queued = False  # in Runtime.queue, or dequeued until checked
 
     def entries(self) -> int:
         """The node's length in the flattened trace: its actions, or one
@@ -229,39 +232,6 @@ class EntryHistory:
             if events[k].kind == "W":
                 return events[k].value
         return base_value
-
-
-# -- the store seen by an evaluation session ------------------------------------
-
-
-class _SessionStore:
-    """The store as one evaluation session sees it, for the traced rules.
-
-    Allocation goes to the input store.  A read sees the entry's history
-    just after `at`, the node the session's last action went into, so the
-    session's own writes are already there.  A write is only range-checked:
-    the session records its action in the history once the rule returns.
-    """
-
-    __slots__ = ("rt", "at")
-
-    def __init__(self, rt: "Runtime", at: TraceNode):
-        self.rt = rt
-        self.at = at
-
-    def alloc(self, size, loc_id=None) -> Loc:
-        return self.rt.base.alloc(size, loc_id)
-
-    def read(self, loc, off) -> MachineValue:
-        v = self.rt._value_now(loc, off, self.at)
-        if v is None or v is UNINIT:
-            raise StuckRead(f"read of {loc!r}[{off!r}] unavailable")
-        return v
-
-    def write(self, loc, off, val) -> int:
-        if not isinstance(loc, Loc) or self.rt.base.peek(loc, off) is None:
-            raise StuckWrite(f"write of {loc!r}[{off!r}] out of range")
-        return 0
 
 
 # -- results -------------------------------------------------------------------------
@@ -334,15 +304,38 @@ class Runtime:
         self.live_entries = 0  # len(self.flat_trace()), kept up to date
         self.start_entries = 0  # live_entries when the propagation began
         self.generation = 0  # bumped whenever an edit changes the run
+        self.at = self.head  # the node the running session linked last
         budget = [fuel, fuel]
         self._session(initial_env(prog, inputs), prog.entry, after=self.head,
                       cursor=None, budget=budget)
 
+    # -- the store the traced rules step through ------------------------------
+
+    def alloc(self, size, loc_id=None) -> Loc:
+        """Allocation goes to the input store."""
+        return self.base.alloc(size, loc_id)
+
+    def read(self, loc, off) -> MachineValue:
+        """The entry's value in its history just after `at`, so the
+        session's own writes are already there."""
+        v = self._value_now(loc, off, self.at)
+        if v is None or v is UNINIT:
+            raise StuckRead(f"read of {loc!r}[{off!r}] unavailable")
+        return v
+
+    def write(self, loc, off, val) -> int:
+        """Only range-checked: _record indexes the write once the rule
+        returns."""
+        if not isinstance(loc, Loc) or self.base.peek(loc, off) is None:
+            raise StuckWrite(f"write of {loc!r}[{off!r}] out of range")
+        return 0
+
     # -- linked-list and indexing helpers --------------------------------------
 
-    def _link_after(self, node: TraceNode, prev: TraceNode) -> TraceNode:
+    def _link(self, node: TraceNode) -> None:
+        """Link `node` after `at` and move `at` to it."""
         self.live_entries += node.entries()
-        return self.om.insert_after(prev, node)
+        self.at = self.om.insert_after(self.at, node)
 
     def _unlink(self, node: TraceNode) -> None:
         if node.queued:
@@ -413,12 +406,6 @@ class Runtime:
             if events[k].value != value:
                 self._enqueue_reader(events[k].node)
             k += 1
-
-    def _commit_write(self, node: TraceNode, idx: int, a: TWrite) -> None:
-        """Insert a write event and enqueue the readers it breaks."""
-        h = self._hist(a.loc.id, a.off)
-        self._invalidate(h, h.insert(self.om, node, idx, "W", a.val) + 1,
-                         a.val)
 
     # -- retirement (the undo steps) ------------------------------------------------
 
@@ -511,18 +498,21 @@ class Runtime:
                  cursor: Optional[TraceNode], budget: list[int]) -> None:
         """Evaluate (env, expr), splicing new nodes after `after`.
 
-        Each traced action goes into a run node and is indexed there as soon
-        as its rule returns (see _record), so the session holds no actions
-        of its own.  The session runs in `after`'s region, and cursor up to
-        the region's end is its reusable remainder (None for from-scratch
-        runs).  budget holds the steps left and the fuel they started from.
+        The traced rules step through the Runtime itself (alloc, read and
+        write), with `at` moving from `after` to each node the session
+        links.  Each traced action goes into a run node and is indexed
+        there as soon as its rule returns (see _record), so the session
+        holds no actions of its own.  The session runs in `after`'s region,
+        and cursor up to the region's end is its reusable remainder (None
+        for from-scratch runs).  budget holds the steps left and the fuel
+        they started from.
         """
         region = after.region
         region_end = region.partner if region is not None else self.tail
         stack: list[Frame] = []
         # The open regions' begin nodes, innermost last.
         regions: list[Optional[TraceNode]] = [region]
-        view = _SessionStore(self, after)
+        self.at = after
         command: object = expr
 
         while True:
@@ -546,8 +536,8 @@ class Runtime:
                         self._retire_interval(cursor, m)
                         self._replay_window(m.prev)
                         return
-                _, action, env, command = step(view, env, e, self._saved)
-                view.at = self._record(view.at, action, regions[-1])
+                _, action, env, command = step(self, env, e, self._saved)
+                self._record(action, regions[-1])
                 self.eval_steps += 1
                 continue
             if isinstance(e, Values):
@@ -556,7 +546,7 @@ class Runtime:
                     begin = regions.pop()
                     endn = TraceNode("end")
                     begin.partner = endn
-                    view.at = self._link_after(endn, view.at)
+                    self._link(endn)
                     env, command = apply_frame(stack.pop(), e.vals)
                     self.eval_steps += 1
                     continue
@@ -567,7 +557,7 @@ class Runtime:
                 return
             if isinstance(e, A.Push):
                 begin = TraceNode("begin")
-                view.at = self._link_after(begin, view.at)
+                self._link(begin)
                 regions.append(begin)
                 stack.append(Frame(env, e.fname))
                 command = e.body
@@ -575,27 +565,29 @@ class Runtime:
                 continue
             raise Stuck("E", f"no rule for command {e!r}")
 
-    def _record(self, at: TraceNode, a, region: Optional[TraceNode]):
-        """Append the traced action `a` after `at`, the node the session
-        linked last, and index it; returns the node `a` went into.
+    def _record(self, a, region: Optional[TraceNode]) -> None:
+        """Append the traced action `a` after `at` and index it; a write
+        also enqueues the readers it breaks.
 
         A memo point, or the first action after an update point or a
         bracket, opens a new run node in `region`."""
+        at = self.at
         if (isinstance(a, TMemo) or at.kind != "run"
                 or isinstance(at.actions[-1], TUpdate)):
-            node = TraceNode("run")
-            node.region = region
-            at = self._link_after(node, at)
+            at = TraceNode("run")
+            at.region = region
+            self._link(at)
         idx = len(at.actions)
         at.actions.append(a)
         self.live_entries += 1
         if isinstance(a, TRead):
             self._hist(a.loc.id, a.off).insert(self.om, at, idx, "R", a.val)
         elif isinstance(a, TWrite):
-            self._commit_write(at, idx, a)
+            h = self._hist(a.loc.id, a.off)
+            self._invalidate(h, h.insert(self.om, at, idx, "W", a.val) + 1,
+                             a.val)
         elif isinstance(a, TMemo):
             self.memo_index.setdefault((a.eid, a.env), []).append(at)
-        return at
 
     def _value_now(self, loc, off, node: TraceNode, idx=None):
         """The entry's value just before action `idx` of `node`, or after
@@ -641,22 +633,23 @@ class Runtime:
         for loc, off, val in edits:
             self.mark_dirty(loc, off, val)
         while self.queue:
+            # A dequeued node stays marked queued until its check ends, so
+            # the writes of its own re-evaluation cannot queue it again.
             node = self.queue.pop(0)
-            node.queued = False
             if node.kind != "run":
                 self._replay_window(node)
-                continue
-            if not self.window_dirty(node):
+            elif not self.window_dirty(node):
                 self.skipped += 1
-                continue
-            act = node.actions[-1]
-            self.reevaluated.append(act.eid)
-            env = dict(act.env)
-            env.update((f, self.fun_index[f]) for f in act.fnames)
-            # The update ends its node, so the doomed interval starts at
-            # the next node.
-            self._session(env, act.expr, after=node, cursor=node.next,
-                          budget=budget)
+            else:
+                act = node.actions[-1]
+                self.reevaluated.append(act.eid)
+                env = dict(act.env)
+                env.update((f, self.fun_index[f]) for f in act.fnames)
+                # The update ends its node, so the doomed interval starts
+                # at the next node.
+                self._session(env, act.expr, after=node, cursor=node.next,
+                              budget=budget)
+            node.queued = False
         return self.result()
 
     # -- results --------------------------------------------------------------------
@@ -690,20 +683,14 @@ class Runtime:
         return from_list(stack[0])
 
     def final_values(self) -> tuple[MachineValue, ...]:
-        n = self.tail.prev
-        while n is not self.head:
-            if n.kind == "run" and n.actions:
-                last = n.actions[-1]
-                assert isinstance(last, TPop), "trace does not end in a pop"
-                return last.vals
-            n = n.prev
-        return ()
+        # The last node holds the top-level pop.
+        last = self.tail.prev.actions[-1]
+        assert isinstance(last, TPop), "trace does not end in a pop"
+        return last.vals
 
     def build_store(self) -> Store:
         store = self.base.copy()
         for (lid, off), h in self.histories.items():
-            if lid in store.garbage:
-                continue
             base_val = store.cells.get((lid, off))
             v = h.write_before(len(h.events), base_val)
             if v is not None and (lid, off) in store.cells:

@@ -17,7 +17,7 @@ from sasm.parser import parse_program
 from sasm.refmachine import ref_run
 from sasm.runtime import (EntryHistory, OrderMaintenance, Runtime, TraceNode,
                           UseAfterDelete)
-from sasm.store import Store
+from sasm.store import Loc, Store
 from sasm.trace import TMemo, TPop, TRead, TUpdate, TWrite
 from sasm.tracing import (canonicalize, non_garbage, propagation_machine,
                           run_from_scratch)
@@ -444,6 +444,52 @@ def test_edit_then_edit_back_skips_at_dequeue():
     assert fast.skipped >= 1  # re-verified clean at dequeue
 
 
+def test_a_re_evaluated_update_is_not_queued_again():
+    # A re-evaluation's writes break reads in the interval it retires, and
+    # the update being re-run checks them; it stays queued until it ends,
+    # so it is never dequeued a second time only to be skipped.
+    bench = gen_list("map", 8, 0)
+    store, labels, inputs = bench.build()
+    rt = Runtime(bench.program, store, inputs=inputs)
+    fast = rt.propagate([(labels["c3"], 1, 77)])
+    assert len(fast.reevaluated) == 6 and fast.skipped == 0
+
+    bench = gen_list("map", 64, 3)
+    store, labels, inputs = bench.build()
+    host = store.copy()
+    rt = Runtime(bench.program, store.copy(), inputs=inputs)
+    for batch in range(1, 21):
+        edits = gen_edits(300 + batch, host, labels, bench.edit_slots, 1)
+        apply_edits(host, labels, edits)
+        fast = rt.propagate([e.resolve(labels) for e in edits])
+        assert fast.skipped == 0, batch
+    fresh = run_from_scratch(bench.program, non_garbage(host.copy()),
+                             inputs=inputs)
+    assert canonicalize(fast.values, fast.trace, fast.store, host) == \
+        canonicalize(fresh.values, fresh.trace, fresh.store, host)
+
+
+def test_a_bracket_whose_window_is_clean_again_replays_nothing():
+    # Editing inp to 7 queues the end bracket before read(inp, 1); editing
+    # it back to 5 in the same batch leaves that window clean.
+    prog = parse_program("""input inp
+let fun k() = let y = read(inp, 1) in pop(y)
+push k do pop()
+arity 1
+""")
+    store = Store()
+    inp = store.alloc(1)
+    store.write(inp, 1, 5)
+    t1 = run_from_scratch(prog, store.copy(), inputs={"inp": inp})
+    t2 = propagation_machine(prog, t1.trace, store.copy()).run()
+    rt = Runtime(prog, store.copy(), inputs={"inp": inp})
+    rt.mark_dirty(inp, 1, 7)
+    assert [n.kind for n in rt.queue] == ["end"]
+    fast = rt.propagate([(inp, 1, 5)])
+    assert fast.values == t2.values == (5,)
+    assert fast.realized == 0 and not fast.reevaluated
+
+
 def test_clean_propagate_fast_zero_reevaluations(corpus):
     for bench in corpus:
         store, labels, inputs = bench.build()
@@ -686,17 +732,56 @@ def test_arity_mismatch_is_stuck_on_every_engine():
 
 
 def test_store_faults_raise_the_same_error_on_every_engine():
-    read = parse_program(
-        "let x = alloc(1) in let y = read(x, 1) in pop(y)\narity 1")
-    write = parse_program(
-        "let x = alloc(1) in let y = write(x, 2, 5) in pop(y)\narity 1")
-    for prog, error in ((read, StuckRead), (write, StuckWrite)):
+    # A read of an uninitialized entry, a read through an int, a read at a
+    # location offset and a write out of range.
+    faults = [
+        ("let x = alloc(1) in let y = read(x, 1) in pop(y)", StuckRead),
+        ("let a = prim add(1, 2) in let y = read(a, 1) in pop(y)",
+         StuckRead),
+        ("let x = alloc(1) in let y = read(x, x) in pop(y)", StuckRead),
+        ("let x = alloc(1) in let y = write(x, 2, 5) in pop(y)", StuckWrite),
+    ]
+    for text, error in faults:
+        prog = parse_program(text + "\narity 1")
         with pytest.raises(error):
             ref_run(prog, Store())
         with pytest.raises(error):
             run_from_scratch(prog, Store())
         with pytest.raises(error):
             Runtime(prog, Store())
+
+
+def test_an_update_reading_through_a_cell_edited_to_an_int_is_stuck():
+    # The cell held a location; edited to an int, the re-run update reads
+    # through it.
+    through = parse_program("""input cell
+update let p = read(cell, 1) in let x = read(p, 1) in pop(x)
+arity 1
+""")
+    store = Store()
+    cell, target = store.alloc(1), store.alloc(1)
+    store.write(target, 1, 4)
+    store.write(cell, 1, target)
+    t1 = run_from_scratch(through, store.copy(), inputs={"cell": cell})
+    assert t1.values == (4,)
+    s2 = store.copy()
+    s2.write(cell, 1, 3)
+    with pytest.raises(StuckRead):
+        propagation_machine(through, t1.trace, s2).run()
+    rt = Runtime(through, store.copy(), inputs={"cell": cell})
+    with pytest.raises(StuckRead):
+        rt.propagate([(cell, 1, 3)])
+
+
+def test_mark_dirty_of_an_entry_outside_the_store_is_a_key_error():
+    bench = gen_array_max(8, "b")
+    store, labels, inputs = bench.build()
+    rt = Runtime(bench.program, store, inputs=inputs)
+    generation = rt.generation
+    for loc, off in ((labels["arr"], 9), (Loc(10_000), 1)):
+        with pytest.raises(KeyError):
+            rt.mark_dirty(loc, off, 1)
+    assert rt.generation == generation and rt.queue == []
 
 
 def test_propagate_reports_the_fuel_it_was_given():
