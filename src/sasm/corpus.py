@@ -63,9 +63,6 @@ class Edit:
             return loc, self.offset, labels[name]
         return loc, self.offset, self.value
 
-    def line(self) -> str:
-        return f"write {self.label} {self.offset} {self.value}"
-
 
 def parse_edit_line(line: str) -> Edit:
     """Parse 'write LABEL OFFSET VALUE'; VALUE is an integer or @LABEL."""

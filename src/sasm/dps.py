@@ -76,16 +76,19 @@ class DpsContext:
                 return name
 
 
-def dps_convert(e: A.Expr, dest: str, ctx: DpsContext) -> A.Expr:
-    """Convert one expression against a destination variable."""
+def dps_convert(e: A.Expr | None, dest: str | None,
+                ctx: DpsContext) -> A.Expr | None:
+    """Convert one expression against a destination variable (None, the
+    continuation of a top-level definition, stays None)."""
+    if e is None:
+        return None
     if isinstance(e, A.FunDef):
         if e.fname in ctx.plain_funs:
-            return A.FunDef(fname=e.fname, params=e.params,
-                            body=deepcopy(e.body),
-                            cont=dps_convert(e.cont, dest, ctx), pos=e.pos)
-        z = ctx.fresh_dest()
-        return A.FunDef(fname=e.fname, params=e.params + (z,),
-                        body=dps_convert(e.body, z, ctx),
+            params, body = e.params, deepcopy(e.body)
+        else:
+            z = ctx.fresh_dest()
+            params, body = e.params + (z,), dps_convert(e.body, z, ctx)
+        return A.FunDef(fname=e.fname, params=params, body=body,
                         cont=dps_convert(e.cont, dest, ctx), pos=e.pos)
     if isinstance(e, A.PrimOp):
         return A.PrimOp(var=e.var, op=e.op, args=e.args,
@@ -145,17 +148,7 @@ def dps_convert(e: A.Expr, dest: str, ctx: DpsContext) -> A.Expr:
 
 def dps_convert_env(defs: list[A.FunDef], ctx: DpsContext) -> list[A.FunDef]:
     """Convert top-level bindings: each function gains a destination param."""
-    out = []
-    for d in defs:
-        if d.fname in ctx.plain_funs:
-            out.append(A.FunDef(fname=d.fname, params=d.params,
-                                body=deepcopy(d.body), cont=None, pos=d.pos))
-            continue
-        z = ctx.fresh_dest()
-        out.append(A.FunDef(fname=d.fname, params=d.params + (z,),
-                            body=dps_convert(d.body, z, ctx), cont=None,
-                            pos=d.pos))
-    return out
+    return [dps_convert(d, None, ctx) for d in defs]
 
 
 def _convert_program(prog: A.Program, ctx: DpsContext) -> A.Program:
@@ -175,93 +168,62 @@ def dps_convert_program(prog: A.Program) -> A.Program:
     return _convert_program(prog, DpsContext.for_program(prog))
 
 
-def _fn_refs(e: A.Expr, acc: set[str]) -> None:
-    for node in A.walk(e):
-        if isinstance(node, (A.App, A.Push)):
-            acc.add(node.fname)
+def _fn_refs(e: A.Expr) -> set[str]:
+    return {n.fname for n in A.walk(e) if isinstance(n, (A.App, A.Push))}
 
 
 def dps_selective(prog: A.Program) -> A.Program:
     """Convert, skipping push bodies that cannot reach an update point.
 
-    A function referenced from both a skipped body and converted code would
-    need two signatures; such skips are cancelled.  A program with no
-    reachable update point at all is returned unchanged (renumbered copy).
+    A skipped body, and the body of every function it reaches through calls
+    and pushes, stays unconverted (`plain`).  All other code is converted,
+    and it passes a destination to every function it calls or pushes; a
+    skipped push does too, through its `$sel` wrapper.  A skip whose
+    reachable functions include one that receives a destination is
+    cancelled, and the rule is applied again until no skip is cancelled.
+    A program with no reachable update point at all is returned unchanged
+    (renumbered copy).
     """
     if prog.dps_marker:
         raise AlreadyConverted("program is already in destination-passing style")
     info = region_no_update(prog)
-    funs = prog.fun_index()
-
     if not expr_reaches_update(prog.entry, info.fn_reaches) and not any(
             info.fn_reaches.values()):
         out = deepcopy(prog)
         A.number_exprs(out)
         return out
 
-    skip = {eid for eid, reaches in info.push_reaches.items() if not reaches}
-    pushes = {e.eid: e for e in A.walk_program(prog) if isinstance(e, A.Push)}
+    funs = prog.fun_index()
 
-    # Transitive function references from each skipped body.
-    def closure(start: set[str]) -> set[str]:
-        seen = set()
-        work = list(start)
+    def reach(names: set[str]) -> set[str]:
+        seen: set[str] = set()
+        work = list(names)
         while work:
             f = work.pop()
-            if f in seen or f not in funs:
-                continue
-            seen.add(f)
-            acc: set[str] = set()
-            _fn_refs(funs[f].body, acc)
-            work.extend(acc)
+            if f in funs and f not in seen:
+                seen.add(f)
+                work.extend(_fn_refs(funs[f].body))
         return seen
 
+    bodies = {e.eid: e.body for e in A.walk_program(prog)
+              if isinstance(e, A.Push) and not info.push_reaches[e.eid]}
+    reaches = {eid: reach(_fn_refs(body)) for eid, body in bodies.items()}
+    skip = set(bodies)
     while True:
-        plain: set[str] = set()
-        for eid in skip:
-            refs: set[str] = set()
-            _fn_refs(pushes[eid].body, refs)
-            plain |= closure(refs)
-        # References from converted code: everything outside skipped bodies.
-        skipped_nodes: set[int] = set()
-        for eid in skip:
-            for node in A.walk(pushes[eid].body):
-                skipped_nodes.add(node.eid)
-        converted_refs: set[str] = set()
-        for node in A.walk_program(prog):
-            if node.eid in skipped_nodes:
-                continue
-            if isinstance(node, A.App):
-                converted_refs.add(node.fname)
-            elif isinstance(node, A.Push) and node.eid not in skip:
-                converted_refs.add(node.fname)
-        converted_refs = closure(converted_refs)
-        conflicts = plain & converted_refs
-        if not conflicts:
-            break
-        cancelled = {eid for eid in skip
-                     if closure(_collect_refs(pushes[eid].body)) & conflicts}
+        plain = set().union(*(reaches[eid] for eid in skip))
+        unconverted = {n.eid for root in [bodies[eid] for eid in skip]
+                       + [funs[f].body for f in plain] for n in A.walk(root)}
+        takers = {n.fname for n in A.walk_program(prog)
+                  if isinstance(n, (A.App, A.Push))
+                  and n.eid not in unconverted}
+        cancelled = {eid for eid in skip if reaches[eid] & takers}
         if not cancelled:
             break
         skip -= cancelled
-
-    # Functions defined outside skipped bodies but only used within them keep
-    # their original form.
-    defined_inside: set[str] = set()
-    for eid in skip:
-        for node in A.walk(pushes[eid].body):
-            if isinstance(node, A.FunDef):
-                defined_inside.add(node.fname)
     ctx = DpsContext.for_program(prog)
     ctx.skip_pushes = skip
-    ctx.plain_funs = plain - defined_inside
+    ctx.plain_funs = plain
     return _convert_program(prog, ctx)
-
-
-def _collect_refs(e: A.Expr) -> set[str]:
-    acc: set[str] = set()
-    _fn_refs(e, acc)
-    return acc
 
 
 def extensionally_preserved(orig_result, conv_result, arity: int,

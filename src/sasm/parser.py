@@ -146,6 +146,11 @@ class _Parser:
             raise ParseError(f"expected {what or kind}, got {t.text!r}", t.line, t.col)
         return t
 
+    def expect_kw(self, word: str) -> None:
+        t = self.next()
+        if t.kind != "kw" or t.text != word:
+            raise ParseError(f"expected {word!r}, got {t.text!r}", t.line, t.col)
+
     def err(self, msg: str) -> ParseError:
         t = self.peek()
         return ParseError(msg, t.line, t.col)
@@ -207,9 +212,7 @@ class _Parser:
         if t.kind == "kw" and t.text == "fun":
             self.next()
             fdef, env2 = self.fundef(env, pos)
-            tk = self.expect("kw", "'in'")
-            if tk.text != "in":
-                raise ParseError("expected 'in'", tk.line, tk.col)
+            self.expect_kw("in")
             return fdef, env2
         var_tok = self.expect("ident", "variable")
         self.expect("=")
@@ -224,9 +227,7 @@ class _Parser:
                                  op_tok.line, op_tok.col)
             args = self.value_list(env)
             var, env2 = self.bind(var_tok, env)
-            tk = self.expect("kw", "'in'")
-            if tk.text != "in":
-                raise ParseError("expected 'in'", tk.line, tk.col)
+            self.expect_kw("in")
             return PrimOp(var=var, op=op_tok.text, args=args, cont=None,
                           pos=pos), env2
         args = self.value_list(env)
@@ -243,9 +244,7 @@ class _Parser:
         else:
             inst = Write(loc=args[0], off=args[1], val=args[2], pos=ipos)
         var, env2 = self.bind(var_tok, env)
-        tk = self.expect("kw", "'in'")
-        if tk.text != "in":
-            raise ParseError("expected 'in'", tk.line, tk.col)
+        self.expect_kw("in")
         return Inst(var=var, inst=inst, cont=None, pos=pos), env2
 
     def tail_expr(self, env: dict[str, str]) -> Expr:
@@ -255,13 +254,9 @@ class _Parser:
             if t.text == "if":
                 self.next()
                 cond = self.use(self.expect("ident", "condition variable"), env)
-                tk = self.expect("kw", "'then'")
-                if tk.text != "then":
-                    raise ParseError("expected 'then'", tk.line, tk.col)
+                self.expect_kw("then")
                 then = self.expr(env)
-                tk = self.expect("kw", "'else'")
-                if tk.text != "else":
-                    raise ParseError("expected 'else'", tk.line, tk.col)
+                self.expect_kw("else")
                 els = self.expr(env)
                 return If(cond=cond, then=then, els=els, pos=pos)
             if t.text == "memo":
@@ -273,9 +268,7 @@ class _Parser:
             if t.text == "push":
                 self.next()
                 f = self.use(self.expect("ident", "function name"), env)
-                tk = self.expect("kw", "'do'")
-                if tk.text != "do":
-                    raise ParseError("expected 'do'", tk.line, tk.col)
+                self.expect_kw("do")
                 return Push(fname=f, body=self.expr(env), pos=pos)
             if t.text == "pop":
                 self.next()

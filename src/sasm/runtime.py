@@ -305,15 +305,14 @@ class Runtime:
         self.start_entries = 0  # live_entries when the propagation began
         self.generation = 0  # bumped whenever an edit changes the run
         self.at = self.head  # the node the running session linked last
-        budget = [fuel, fuel]
         self._session(initial_env(prog, inputs), prog.entry, after=self.head,
-                      cursor=None, budget=budget)
+                      cursor=None, fuel=fuel)
 
     # -- the store the traced rules step through ------------------------------
 
-    def alloc(self, size, loc_id=None) -> Loc:
+    def alloc(self, size) -> Loc:
         """Allocation goes to the input store."""
-        return self.base.alloc(size, loc_id)
+        return self.base.alloc(size)
 
     def read(self, loc, off) -> MachineValue:
         """The entry's value in its history just after `at`, so the
@@ -495,7 +494,7 @@ class Runtime:
     # -- the evaluation session ------------------------------------------------------
 
     def _session(self, env: dict, expr: A.Expr, after: TraceNode,
-                 cursor: Optional[TraceNode], budget: list[int]) -> None:
+                 cursor: Optional[TraceNode], fuel: int) -> None:
         """Evaluate (env, expr), splicing new nodes after `after`.
 
         The traced rules step through the Runtime itself (alloc, read and
@@ -504,8 +503,9 @@ class Runtime:
         there as soon as its rule returns (see _record), so the session
         holds no actions of its own.  The session runs in `after`'s region,
         and cursor up to the region's end is its reusable remainder (None
-        for from-scratch runs).  budget holds the steps left and the fuel
-        they started from.
+        for from-scratch runs).  Every pass of the loop takes an evaluation
+        step or returns, so eval_steps, which a propagation's sessions share,
+        is the fuel spent.
         """
         region = after.region
         region_end = region.partner if region is not None else self.tail
@@ -516,9 +516,8 @@ class Runtime:
         command: object = expr
 
         while True:
-            budget[0] -= 1
-            if budget[0] <= 0:
-                raise FuelExhausted(budget[1])
+            if self.eval_steps >= fuel:
+                raise FuelExhausted(fuel)
 
             e = command
             rule = STEP_RULES.get(type(e))
@@ -622,7 +621,6 @@ class Runtime:
     def propagate(self, edits: list[tuple[Loc, int, MachineValue]],
                   fuel: int | None = None) -> FastResult:
         fuel = fuel if fuel is not None else self.fuel
-        budget = [fuel, fuel]
         self.generation += 1
         self.eval_steps = 0
         self.undo_steps = 0
@@ -648,7 +646,7 @@ class Runtime:
                 # The update ends its node, so the doomed interval starts
                 # at the next node.
                 self._session(env, act.expr, after=node, cursor=node.next,
-                              budget=budget)
+                              fuel=fuel)
             node.queued = False
         return self.result()
 

@@ -140,14 +140,14 @@ def resolve(env: dict, v: A.Value) -> MachineValue:
         raise StuckRead(f"unbound name {v!r}") from None
 
 
-def step_store(store: Store, env: dict, inst: A.Instruction,
-               loc_id: int | None = None) -> tuple[MachineValue, str]:
+def step_store(store: Store, env: dict,
+               inst: A.Instruction) -> tuple[MachineValue, str]:
     """Rules S.1-S.3: mutate the store, return (result value, rule tag)."""
     if isinstance(inst, A.Alloc):
         size = resolve(env, inst.size)
         if not isinstance(size, int):
             raise StuckAlloc(f"allocation size is a location: {size!r}")
-        return store.alloc(size, loc_id), "S.1"
+        return store.alloc(size), "S.1"
     if isinstance(inst, A.Read):
         return store.read(resolve(env, inst.loc), resolve(env, inst.off)), "S.2"
     if isinstance(inst, A.Write):

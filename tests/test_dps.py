@@ -141,6 +141,25 @@ def test_selective_on_exptrees_equals_full_conversion():
     assert program_equal(full, sel)
 
 
+def _sel_pushes(prog):
+    return [e for e in walk_program(prog)
+            if isinstance(e, Push) and e.fname.endswith("$sel")]
+
+
+def _fundef(prog, name):
+    return next(d for d in walk_program(prog)
+                if isinstance(d, FunDef) and d.fname == name)
+
+
+def _run_with_input(prog, value):
+    """Run `prog` with its one input bound to a cell holding `value`."""
+    from sasm.store import Store
+    store = Store()
+    loc = store.alloc(1)
+    store.write(loc, 1, value)
+    return ref_run(prog, store, inputs={prog.inputs[0]: loc})
+
+
 def test_selective_mixed_program_skips_pure_helper():
     src = """
 input c
@@ -164,27 +183,55 @@ arity 1
     # The helper push body stays in its original form (its pop still returns
     # the allocation), only a thin forwarding wrapper appears; the reader
     # branch (use) converts.
-    pushes = [e for e in walk_program(sel) if isinstance(e, Push)]
-    assert any(e.fname.endswith("$sel") for e in pushes)
-    helper_def = next(d for d in walk_program(sel)
-                      if isinstance(d, FunDef) and d.fname == "helper")
-    orig_helper = next(d for d in walk_program(p)
-                       if isinstance(d, FunDef) and d.fname == "helper")
-    assert ast_equal(helper_def.body, orig_helper.body)
-    use_def = next(d for d in walk_program(sel)
-                   if isinstance(d, FunDef) and d.fname == "use")
-    assert len(use_def.params) == 2  # converted: gains a destination
+    assert _sel_pushes(sel)
+    assert ast_equal(_fundef(sel, "helper").body, _fundef(p, "helper").body)
+    assert len(_fundef(sel, "use").params) == 2  # converted: gains a destination
     # Semantics preserved (tested, not assumed).
-    store_run = lambda prog: ref_run(prog, inputs=None)
-    from sasm.store import Store
-    store = Store()
-    lc = store.alloc(1)
-    store.write(lc, 1, 5)
-    r1 = ref_run(p, store.copy(), inputs={"c": lc})
-    r2 = ref_run(sel, store.copy(), inputs={"c": lc})
+    r1, r2 = _run_with_input(p, 5), _run_with_input(sel, 5)
     assert deref_result(r2.values, r2.store, 1) == r1.values
 
 
+def test_selective_cancels_a_skip_whose_wrapper_passes_a_destination():
+    # The skipped body only calls f, but the push's own $sel wrapper calls
+    # f with a destination, so f cannot stay unconverted.
+    src = """
+input inp
+let fun u() = update let r = read(inp, 1) in pop(r)
+let fun f(x) = pop(x)
+push f do f(3)
+arity 1
+"""
+    p = parse_program(src)
+    sel = dps_selective(p)
+    assert check_wf(sel) == []
+    assert _sel_pushes(sel) == []
+    r1, r2 = _run_with_input(p, 5), _run_with_input(sel, 5)
+    assert r1.values == (3,)
+    assert deref_result(r2.values, r2.store, 1) == r1.values
+
+
+def test_selective_keeps_a_skip_whose_helpers_call_helpers():
+    # helper calls fill; both stay unconverted, so that call passes no
+    # destination and the skip holds.
+    src = """
+input c
+let fun use(h) = update let x = read(c, 1) in let y = read(h, 1) in
+  let s = prim add(x, y) in pop(s)
+let fun fill(w) = let q = write(w, 1, 10) in pop(w)
+let fun helper() = let w = alloc(1) in fill(w)
+push use do helper()
+arity 1
+"""
+    p = parse_program(src)
+    sel = dps_selective(p)
+    assert check_wf(sel) == []
+    assert len(_sel_pushes(sel)) == 1
+    for name in ("helper", "fill"):
+        assert ast_equal(_fundef(sel, name).body, _fundef(p, name).body)
+    assert len(_fundef(sel, "use").params) == 2  # gains a destination
+    r1, r2 = _run_with_input(p, 5), _run_with_input(sel, 5)
+    assert r1.values == (15,)
+    assert deref_result(r2.values, r2.store, 1) == r1.values
 
 
 def assert_extensional(r1, r2, arity, initial_store):
@@ -207,9 +254,11 @@ def test_extensional_preservation_fuzz():
         case = gen_program(seed)
         store, labels, inputs = case.build()
         r1 = ref_run(case.program, store.copy(), inputs=inputs, fuel=200000)
-        dp = dps_convert_program(case.program)
-        r2 = ref_run(dp, store.copy(), inputs=inputs, fuel=400000)
-        assert_extensional(r1, r2, case.program.arity, store)
+        for convert in (dps_convert_program, dps_selective):
+            dp = convert(case.program)
+            assert check_wf(dp) == [], (seed, convert.__name__)
+            r2 = ref_run(dp, store.copy(), inputs=inputs, fuel=400000)
+            assert_extensional(r1, r2, case.program.arity, store)
 
 
 def test_csa_boundary_proxy_no_violations_for_converted():

@@ -58,6 +58,25 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 1 and exc.value.col > 0
 
 
+@pytest.mark.parametrize("word,src,line,col", [
+    ("in", "let y = prim add(1, 2) in\nlet fun f(x) = pop(x)\n  pop(y)\n"
+     "arity 1", 3, 3),
+    ("in", "let y = prim add(1, 2)\n  pop(y)\narity 1", 2, 3),
+    ("in", "let c = alloc(1) then pop(c)\narity 1", 1, 18),
+    ("then", "let c = prim eq(1, 1) in\nif c pop(1) else pop(2)\narity 1",
+     2, 6),
+    ("else", "let c = prim eq(1, 1) in\nif c then pop(1)\n  pop(2)\narity 1",
+     3, 3),
+    ("do", "let fun f(x) = pop(x) in\npush f f(1)\narity 1", 2, 8),
+])
+def test_missing_keyword_is_an_error_at_the_offending_token(word, src, line,
+                                                            col):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert f"expected {word!r}" in str(exc.value)
+
+
 def test_duplicate_names_uniquified_with_warning():
     src = """
 let fun f(x) =
