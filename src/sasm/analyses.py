@@ -33,10 +33,13 @@ def _inst_vars(inst: A.Instruction) -> set[str]:
 
 @dataclass
 class LiveSet:
-    """Per-expression-id live names (variables and function names)."""
+    """Per-expression-id live names (variables and function names), and for
+    each memo and update eid the names its saved environment keeps: the
+    variables, sorted, and the function names."""
 
     live: dict[int, frozenset[str]]
     fn_names: frozenset[str]
+    saved: dict[int, tuple[tuple[str, ...], frozenset[str]]]
 
     def at(self, eid: int) -> frozenset[str]:
         return self.live[eid]
@@ -47,7 +50,9 @@ class LiveSet:
 
 def live_vars(prog: A.Program) -> LiveSet:
     funs = prog.fun_index()
+    fns = frozenset(funs)
     needs: dict[str, frozenset[str]] = {f: frozenset() for f in funs}
+    saved: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
 
     def live_of(e: A.Expr, record: dict[int, frozenset[str]] | None) -> frozenset[str]:
         if isinstance(e, A.FunDef):
@@ -64,6 +69,8 @@ def live_vars(prog: A.Program) -> LiveSet:
             out = frozenset(_inst_vars(e.inst)) | (live_of(e.cont, record) - {e.var})
         elif isinstance(e, (A.Memo, A.Update)):
             out = live_of(e.body, record)
+            if record is not None:
+                saved[e.eid] = (tuple(sorted(out - fns)), out & fns)
         elif isinstance(e, A.Push):
             out = (frozenset({e.fname}) | needs.get(e.fname, frozenset())
                    | live_of(e.body, record))
@@ -89,7 +96,7 @@ def live_vars(prog: A.Program) -> LiveSet:
         live_of(fdef.body, record)
         record[fdef.eid] = needs[fdef.fname]
     live_of(prog.entry, record)
-    return LiveSet(record, frozenset(funs))
+    return LiveSet(record, fns, saved)
 
 
 @dataclass

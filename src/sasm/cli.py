@@ -26,7 +26,7 @@ from .cost import cost_vector, check_dps_overhead, max_pop_arity, BoundViolated
 from .dps import dps_convert_program, dps_selective, extensionally_preserved
 from .errors import DEFAULT_FUEL, FuelExhausted, Stuck
 from .fuzz import gen_edits, gen_program
-from .parser import parse_program_with_warnings
+from .parser import ParseError, parse_program_with_warnings
 from .printer import print_program
 from .refmachine import ref_run
 from .runtime import FastResult, Runtime
@@ -35,7 +35,7 @@ from .trace import dump
 from .tracing import (canonical_result, canonicalize,
                       check_garbage_unreachable, non_garbage, propagate,
                       run_from_scratch)
-from .wf import check_wf
+from .wf import ArityError, check_wf
 
 
 class CliError(Exception):
@@ -54,10 +54,18 @@ class LoadedProgram:
     inputs: dict
 
 
+def _parse(path: str, text: str):
+    """Parse a program file; a syntax or pop-arity error names the file."""
+    try:
+        return parse_program_with_warnings(text)
+    except (ParseError, ArityError) as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
 def load_program(path: str, build: str | None = None,
                  fuel: int = DEFAULT_FUEL) -> LoadedProgram:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    prog, warnings = parse_program_with_warnings(text)
+    prog, warnings = _parse(path, text)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     diags = check_wf(prog)
@@ -73,7 +81,7 @@ def load_program(path: str, build: str | None = None,
         if os.path.exists(cand):
             builder_path = cand
     if builder_path:
-        bprog, _ = parse_program_with_warnings(Path(builder_path).read_text())
+        bprog, _ = _parse(builder_path, Path(builder_path).read_text())
         bdiags = check_wf(bprog)
         if bdiags:
             raise CliError(f"ill-formed builder {builder_path}:\n  " +
@@ -226,7 +234,7 @@ def cmd_analyze(args) -> int:
     for e in A.walk_program(lp.program):
         kind = type(e).__name__
         if isinstance(e, (A.Memo, A.Update)):
-            names = sorted(live.vars_at(e.eid))
+            names, _ = live.saved[e.eid]
             print(f"#{e.eid} {kind}: live={{{', '.join(names)}}}")
         elif isinstance(e, A.Push):
             flag = "no-update" if info.region_no_update(e.eid) else "may-update"
@@ -499,14 +507,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (Stuck, FuelExhausted) as exc:
         print(f"machine error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -33,44 +33,47 @@ class Values:
     vals: tuple[MachineValue, ...]
 
 
+def _div(a: int, b: int) -> int:
+    if b == 0:
+        raise Stuck("R.2", "division by zero")
+    q = abs(a) // abs(b)
+    return A.wrap64(q if (a >= 0) == (b >= 0) else -q)
+
+
+def _mod(a: int, b: int) -> int:
+    if b == 0:
+        raise Stuck("R.2", "modulo by zero")
+    return A.wrap64(a - _div(a, b) * b)
+
+
+# The primitives, by name.  Each takes (a, b), with b None for the unary
+# `not`; only eq and neq accept a location.
+PRIMS = {
+    "eq": lambda a, b: 1 if a == b else 0,
+    "neq": lambda a, b: 0 if a == b else 1,
+    "not": lambda a, b: 1 if a == 0 else 0,
+    "add": lambda a, b: A.wrap64(a + b),
+    "sub": lambda a, b: A.wrap64(a - b),
+    "mul": lambda a, b: A.wrap64(a * b),
+    "div": _div,
+    "mod": _mod,
+    "lt": lambda a, b: 1 if a < b else 0,
+    "leq": lambda a, b: 1 if a <= b else 0,
+    "max": lambda a, b: a if a >= b else b,
+    "min": lambda a, b: a if a <= b else b,
+}
+
+
 def apply_prim(op: str, args: list[MachineValue]) -> MachineValue:
+    prim = PRIMS.get(op)
+    if prim is None:
+        raise Stuck("R.2", f"unknown primitive {op!r}")
     a = args[0]
     b = args[1] if len(args) > 1 else None
-    if op in ("eq", "neq"):
-        r = 1 if a == b else 0
-        return r if op == "eq" else 1 - r
-    if op == "not":
-        if isinstance(a, Loc):
-            raise Stuck("R.2", "not of a location")
-        return 1 if a == 0 else 0
-    if isinstance(a, Loc) or isinstance(b, Loc):
-        raise Stuck("R.2", f"arithmetic on a location: {op}({a!r}, {b!r})")
-    if op == "add":
-        return A.wrap64(a + b)
-    if op == "sub":
-        return A.wrap64(a - b)
-    if op == "mul":
-        return A.wrap64(a * b)
-    if op == "div":
-        if b == 0:
-            raise Stuck("R.2", "division by zero")
-        q = abs(a) // abs(b)
-        return A.wrap64(q if (a >= 0) == (b >= 0) else -q)
-    if op == "mod":
-        if b == 0:
-            raise Stuck("R.2", "modulo by zero")
-        q = abs(a) // abs(b)
-        q = q if (a >= 0) == (b >= 0) else -q
-        return A.wrap64(a - q * b)
-    if op == "lt":
-        return 1 if a < b else 0
-    if op == "leq":
-        return 1 if a <= b else 0
-    if op == "max":
-        return a if a >= b else b
-    if op == "min":
-        return a if a <= b else b
-    raise Stuck("R.2", f"unknown primitive {op!r}")
+    if (type(a) is Loc or type(b) is Loc) and op != "eq" and op != "neq":
+        raise Stuck("R.2", "not of a location" if op == "not" else
+                    f"arithmetic on a location: {op}({a!r}, {b!r})")
+    return prim(a, b)
 
 
 def lookup_fun(env: dict, fname: str) -> A.FunDef:
@@ -154,7 +157,7 @@ def ref_step(c: RefConfig) -> str:
         tag, c.env, c.command = rule(c.env, e)
         return tag
     if isinstance(e, A.Inst):  # R.6 via S.1-S.3
-        v, s_tag = step_store(c.store, c.env, e.inst)
+        v, s_tag, _ = step_store(c.store, c.env, e.inst)
         c.env = {**c.env, e.var: v}
         c.command = e.cont
         return f"R.6/{s_tag}"
@@ -214,5 +217,5 @@ def ref_run(prog: A.Program, init_store: Store | None = None,
 
 
 __all__ = ["Frame", "Values", "RefConfig", "RefResult", "ref_step", "ref_run",
-           "apply_prim", "CONTROL_RULES", "apply_frame", "initial_env",
+           "apply_prim", "PRIMS", "CONTROL_RULES", "apply_frame", "initial_env",
            "TERMINATED"]

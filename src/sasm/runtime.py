@@ -361,7 +361,7 @@ class Runtime:
         which re-runs them), or else the bracket or head before them (which
         replays them)."""
         n = node.prev
-        while n.kind == "run" and not isinstance(n.actions[-1], TUpdate):
+        while n.kind == "run" and type(n.actions[-1]) is not TUpdate:
             n = n.prev
         return n
 
@@ -410,8 +410,9 @@ class Runtime:
 
     def _retire_action(self, node: TraceNode, idx: int) -> None:
         a = node.actions[idx]
+        t = type(a)
         self.undo_steps += 1
-        if isinstance(a, TAlloc):
+        if t is TAlloc:
             # Garbage: drop the location and its histories; surviving readers
             # of its entries re-evaluate (and get honestly stuck).
             for off in range(1, a.size + 1):
@@ -422,16 +423,16 @@ class Runtime:
                         if ev.kind == "R" and ev.node.alive:
                             self._enqueue_reader(ev.node)
             self.base.mark_garbage(a.loc)
-        elif isinstance(a, (TRead, TWrite)):
+        elif t is TRead or t is TWrite:
             h = self.histories.get((a.loc.id, a.off))
             if h is not None:
                 k = h.find(self.om, node, idx)
                 del h.events[k]
-                if isinstance(a, TWrite):
+                if t is TWrite:
                     # Its readers now see the write before it.
                     self._invalidate(h, k, h.write_before(
                         k, self.base.peek(a.loc, a.off)))
-        elif isinstance(a, TMemo):
+        elif t is TMemo:
             # A memo point starts its node, so the node is listed once.
             lst = self.memo_index[(a.eid, a.env)]
             lst.remove(node)
@@ -471,7 +472,7 @@ class Runtime:
         return best[1] if best else None
 
     def _saved(self, env: dict, eid: int):
-        return saved_env(env, self.live.at(eid), self.live.fn_names)
+        return saved_env(env, *self.live.saved[eid])
 
     # -- window check (shared definition with the faithful policy) -----------------
 
@@ -482,9 +483,10 @@ class Runtime:
         n = node.next
         while n.kind == "run":
             for i, a in enumerate(n.actions):
-                if isinstance(a, (TUpdate, TPop)):
+                t = type(a)
+                if t is TUpdate or t is TPop:
                     return None
-                if isinstance(a, TRead):
+                if t is TRead:
                     cur = self._value_now(a.loc, a.off, n, i)
                     if cur is None or cur is UNINIT or cur != a.val:
                         return a, cur
@@ -527,7 +529,7 @@ class Runtime:
                     _, env, command = step(env, e)
                     self.eval_steps += 1
                     continue
-                if isinstance(e, A.Memo) and not stack and cursor is not None:
+                if type(e) is A.Memo and not stack and cursor is not None:
                     m = self._find_match(e, env, cursor, region)
                     if m is not None:
                         self.matches += 1
@@ -539,7 +541,7 @@ class Runtime:
                 self._record(action, regions[-1])
                 self.eval_steps += 1
                 continue
-            if isinstance(e, Values):
+            if type(e) is Values:
                 if stack:
                     # E.8: close the innermost region, apply the frame.
                     begin = regions.pop()
@@ -554,7 +556,7 @@ class Runtime:
                 if cursor is not None:
                     self._retire_interval(cursor, region_end)
                 return
-            if isinstance(e, A.Push):
+            if type(e) is A.Push:
                 begin = TraceNode("begin")
                 self._link(begin)
                 regions.append(begin)
@@ -571,27 +573,28 @@ class Runtime:
         A memo point, or the first action after an update point or a
         bracket, opens a new run node in `region`."""
         at = self.at
-        if (isinstance(a, TMemo) or at.kind != "run"
-                or isinstance(at.actions[-1], TUpdate)):
+        t = type(a)
+        if (t is TMemo or at.kind != "run"
+                or type(at.actions[-1]) is TUpdate):
             at = TraceNode("run")
             at.region = region
             self._link(at)
         idx = len(at.actions)
         at.actions.append(a)
         self.live_entries += 1
-        if isinstance(a, TRead):
+        if t is TRead:
             self._hist(a.loc.id, a.off).insert(self.om, at, idx, "R", a.val)
-        elif isinstance(a, TWrite):
+        elif t is TWrite:
             h = self._hist(a.loc.id, a.off)
             self._invalidate(h, h.insert(self.om, at, idx, "W", a.val) + 1,
                              a.val)
-        elif isinstance(a, TMemo):
+        elif t is TMemo:
             self.memo_index.setdefault((a.eid, a.env), []).append(at)
 
     def _value_now(self, loc, off, node: TraceNode, idx=None):
         """The entry's value just before action `idx` of `node`, or after
         all of `node`'s actions when idx is None; None if unavailable."""
-        if not isinstance(loc, Loc) or not isinstance(off, int):
+        if type(loc) is not Loc or type(off) is not int:
             return None
         if loc.id in self.base.garbage:
             return None

@@ -132,7 +132,7 @@ class Store:
 
 def resolve(env: dict, v: A.Value) -> MachineValue:
     """The paper's rho(v): literals pass through, variables look up."""
-    if isinstance(v, int):
+    if type(v) is int:
         return v
     try:
         return env[v]
@@ -141,20 +141,23 @@ def resolve(env: dict, v: A.Value) -> MachineValue:
 
 
 def step_store(store: Store, env: dict,
-               inst: A.Instruction) -> tuple[MachineValue, str]:
-    """Rules S.1-S.3: mutate the store, return (result value, rule tag)."""
-    if isinstance(inst, A.Alloc):
+               inst: A.Instruction) -> tuple[MachineValue, str, tuple]:
+    """Rules S.1-S.3: mutate the store; return (result value, rule tag,
+    resolved operands), the operands being (size,), (loc, off) or
+    (loc, off, val)."""
+    t = type(inst)
+    if t is A.Read:
+        loc, off = resolve(env, inst.loc), resolve(env, inst.off)
+        return store.read(loc, off), "S.2", (loc, off)
+    if t is A.Write:
+        ops = (resolve(env, inst.loc), resolve(env, inst.off),
+               resolve(env, inst.val))
+        return store.write(*ops), "S.3", ops
+    if t is A.Alloc:
         size = resolve(env, inst.size)
         if not isinstance(size, int):
             raise StuckAlloc(f"allocation size is a location: {size!r}")
-        return store.alloc(size), "S.1"
-    if isinstance(inst, A.Read):
-        return store.read(resolve(env, inst.loc), resolve(env, inst.off)), "S.2"
-    if isinstance(inst, A.Write):
-        loc = resolve(env, inst.loc)
-        off = resolve(env, inst.off)
-        val = resolve(env, inst.val)
-        return store.write(loc, off, val), "S.3"
+        return store.alloc(size), "S.1", (size,)
     raise TypeError(f"not an instruction: {inst!r}")
 
 

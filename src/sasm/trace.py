@@ -28,27 +28,27 @@ Ctx = Optional[tuple]    # (entry, Ctx)
 SavedEnv = tuple[tuple[str, MachineValue], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TAlloc:
     loc: Loc
     size: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TRead:
     val: MachineValue
     loc: Loc
     off: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TWrite:
     val: MachineValue
     loc: Loc
     off: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TMemo:
     """A memo point: expression id plus the live-restricted environment."""
 
@@ -58,7 +58,7 @@ class TMemo:
     fnames: frozenset = field(compare=False, repr=False, default=frozenset())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TUpdate:
     eid: int
     env: SavedEnv
@@ -71,7 +71,7 @@ class TPush:
     sub: Trace
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TPop:
     vals: tuple[MachineValue, ...]
 

@@ -87,11 +87,10 @@ class BalancedResult:
         return len(self.log)
 
 
-def saved_env(env: dict, live: frozenset[str], fn_names: frozenset[str]):
-    """Split a live-restricted environment into saved vars and fn names."""
-    var_items = tuple(sorted((x, env[x]) for x in live if x not in fn_names))
-    fnames = frozenset(live & fn_names)
-    return var_items, fnames
+def saved_env(env: dict, names: tuple[str, ...], fnames: frozenset[str]):
+    """A memo or update point's saved environment: the values of the saved
+    variables `names`, in their order, and the function names."""
+    return tuple([(x, env[x]) for x in names]), fnames
 
 
 # Rules E.1-E.5 and E.7, the steps that record one trace action.  Each takes
@@ -100,17 +99,13 @@ def saved_env(env: dict, live: frozenset[str], fn_names: frozenset[str]):
 # and write; `saved(env, eid)` gives a memo or update point's saved variables
 # and function names.  Memo matching and Push stay with the engine.
 def _inst(store, env: dict, e: A.Inst, saved):  # E.1-E.3
-    inst = e.inst
-    v, _ = step_store(store, env, inst)
-    if isinstance(inst, A.Alloc):
-        tag, action = "E.1", TAlloc(v, resolve(env, inst.size))
-    elif isinstance(inst, A.Read):
-        tag, action = "E.2", TRead(v, resolve(env, inst.loc),
-                                   resolve(env, inst.off))
+    v, tag, ops = step_store(store, env, e.inst)
+    if tag == "S.2":
+        tag, action = "E.2", TRead(v, *ops)
+    elif tag == "S.3":
+        tag, action = "E.3", TWrite(ops[2], ops[0], ops[1])
     else:
-        tag, action = "E.3", TWrite(resolve(env, inst.val),
-                                    resolve(env, inst.loc),
-                                    resolve(env, inst.off))
+        tag, action = "E.1", TAlloc(v, ops[0])
     return tag, action, {**env, e.var: v}, e.cont
 
 
@@ -184,8 +179,10 @@ class TracingMachine:
 
     def _saved(self, env: dict, eid: int):
         if self.policy.full_env:
-            return saved_env(env, frozenset(env), self.live.fn_names)
-        return saved_env(env, self.live.at(eid), self.live.fn_names)
+            fns = self.live.fn_names
+            return saved_env(env, sorted(env.keys() - fns),
+                             frozenset(env) & fns)
+        return saved_env(env, *self.live.saved[eid])
 
     def zipper(self) -> TraceZipper:
         return TraceZipper(self.ctx, self.focus)

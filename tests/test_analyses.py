@@ -1,10 +1,11 @@
 """Live-variable and update-reachability analyses."""
 
 from sasm.analyses import live_vars, region_no_update
-from sasm.corpus import exptrees_fixture, gen_array_max, apply_edits, Edit
+from sasm.corpus import (exptrees_fixture, gen_array_max, apply_edits, Edit,
+                         corpus_benchmarks)
 from sasm.dps import dps_convert_program
 from sasm.fuzz import gen_program, gen_edits
-from sasm.ilast import Memo, Push, walk_program
+from sasm.ilast import Memo, Push, Update, walk_program
 from sasm.parser import parse_program
 from sasm.tracing import Policy, propagate, run_from_scratch
 
@@ -163,3 +164,24 @@ def test_monotone_memo_matching_live_vs_full(corpus):
         return t2.log.count("E.P")
 
     assert matches(full_env=False) >= matches(full_env=True)
+
+
+def test_saved_names_are_the_sorted_live_variables():
+    """The per-program saved names equal what the engines once sorted at
+    every memo and update step: the live variables by name, and the live
+    function names."""
+    progs = [b.program for b in corpus_benchmarks()]
+    progs += [gen_program(seed).program for seed in range(100)]
+    checked = 0
+    for prog in progs + [dps_convert_program(p) for p in progs]:
+        live = live_vars(prog)
+        points = [e.eid for e in walk_program(prog)
+                  if isinstance(e, (Memo, Update))]
+        assert sorted(live.saved) == sorted(points)
+        for eid in points:
+            names = live.at(eid)
+            assert live.saved[eid] == (
+                tuple(sorted(x for x in names if x not in live.fn_names)),
+                frozenset(names & live.fn_names))
+            checked += 1
+    assert checked > 1000

@@ -200,6 +200,35 @@ def test_malformed_edits_file_line_is_an_error_line(tmp_path):
                       "bad edit line 'write arr 1 zz'")
 
 
+BAD_SOURCES = {
+    "syntax": ("let x = in\npop(x)\narity 1\n",
+               "1:9: expected 'prim', 'alloc', 'read' or 'write'"),
+    "unknown-prim": ("let x = prim foo(1, 2) in\npop(x)\narity 1\n",
+                     "1:14: unknown primitive 'foo'"),
+    "pop-arity": ("pop(1, 2)\narity 1\n",
+                  "1:1: program arity mismatch: pop of 2 values at 1:1 "
+                  "but 1 expected"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["run", "check", "propagate"])
+@pytest.mark.parametrize("bad", list(BAD_SOURCES))
+def test_unparsable_program_is_an_error_line(tmp_path, cmd, bad):
+    text, message = BAD_SOURCES[bad]
+    path = tmp_path / "bad.il"
+    path.write_text(text)
+    assert_error_line([cmd, str(path)], f"{path}: {message}")
+
+
+@pytest.mark.parametrize("bad", list(BAD_SOURCES))
+def test_unparsable_builder_is_an_error_line(tmp_path, bad):
+    text, message = BAD_SOURCES[bad]
+    build = tmp_path / "bad.build.il"
+    build.write_text(text)
+    assert_error_line(["run", corpus_path("array_max_b.il"), "--build",
+                       str(build)], f"{build}: {message}")
+
+
 @pytest.mark.parametrize("seeds", ["5", "a..b", "3..1"])
 def test_fuzz_bad_seed_range_is_an_error_line(seeds):
     assert_error_line(["fuzz", "--seeds", seeds],

@@ -1,16 +1,18 @@
 import pytest
 
 from sasm.errors import FuelExhausted, Stuck, StuckRead
-from sasm.ilast import Alloc, Read, Write
+from sasm.ilast import PRIMOPS, Alloc, Read, Write
 from sasm.parser import parse_program
-from sasm.refmachine import RefConfig, Values, ref_run, ref_step
+from sasm.refmachine import (PRIMS, RefConfig, Values, apply_prim, ref_run,
+                             ref_step)
 from sasm.store import Loc, Store, UNINIT, step_store
 
 
 def test_alloc_marks_offsets_uninitialized():
     store = Store()
-    v, tag = step_store(store, {"x": 3}, Alloc(size="x"))
+    v, tag, ops = step_store(store, {"x": 3}, Alloc(size="x"))
     assert tag == "S.1" and isinstance(v, Loc)
+    assert ops == (3,)
     assert all(store.peek(v, i) is UNINIT for i in (1, 2, 3))
     assert store.peek(v, 4) is None
 
@@ -18,10 +20,11 @@ def test_alloc_marks_offsets_uninitialized():
 def test_write_then_read_roundtrips():
     store = Store()
     loc = store.alloc(2)
-    env = {"l": loc}
-    step_store(store, env, Write(loc="l", off=1, val=7))
-    v, tag = step_store(store, env, Read(loc="l", off=1))
-    assert (v, tag) == (7, "S.2")
+    env = {"l": loc, "v": 7}
+    assert step_store(store, env, Write(loc="l", off=1, val="v")) \
+        == (0, "S.3", (loc, 1, 7))
+    assert step_store(store, env, Read(loc="l", off=1)) \
+        == (7, "S.2", (loc, 1))
 
 
 def test_read_of_uninitialized_entry_is_stuck():
@@ -144,3 +147,52 @@ def test_step_terminates_with_values_on_empty_stack():
     tag = ref_step(c)
     assert tag == "terminated"
     assert isinstance(c.command, Values) and c.command.vals == (1, 2)
+
+
+MAX, MIN, L = (1 << 63) - 1, -(1 << 63), Loc(3)
+R2 = "R.2"
+
+# (op, a, b, value or (rule, message)), pinned from the if-chain that the
+# primitive table replaced; b is None for the unary `not`.
+PRIM_CASES = [
+    ("add", MAX, 1, MIN), ("add", MIN, -1, MAX), ("add", -7, 3, -4),
+    ("sub", MIN, 1, MAX), ("sub", MAX, -1, MIN), ("sub", 2, 9, -7),
+    ("mul", MAX, 2, -2), ("mul", 1 << 32, 1 << 32, 0), ("mul", -4, 6, -24),
+    ("div", 7, 2, 3), ("div", -7, 2, -3), ("div", 7, -2, -3),
+    ("div", -7, -2, 3), ("div", MIN, -1, MIN),
+    ("div", 5, 0, (R2, "division by zero")),
+    ("mod", 7, 2, 1), ("mod", -7, 2, -1), ("mod", 7, -2, 1),
+    ("mod", -7, -2, -1), ("mod", MIN, -1, 0),
+    ("mod", 5, 0, (R2, "modulo by zero")),
+    ("eq", 4, 4, 1), ("eq", L, L, 1), ("eq", L, Loc(4), 0), ("eq", L, 3, 0),
+    ("neq", 4, 5, 1), ("neq", L, L, 0),
+    ("lt", -1, 0, 1), ("lt", 0, 0, 0), ("leq", 0, 0, 1), ("leq", 1, 0, 0),
+    ("max", -3, 2, 2), ("max", 5, 5, 5), ("min", -3, 2, -3),
+    ("min", MAX, MIN, MIN),
+    ("not", 0, None, 1), ("not", 7, None, 0),
+    ("not", L, None, (R2, "not of a location")),
+    ("add", L, 1, (R2, "arithmetic on a location: add(ℓ3, 1)")),
+    ("sub", 1, L, (R2, "arithmetic on a location: sub(1, ℓ3)")),
+    ("div", L, 0, (R2, "arithmetic on a location: div(ℓ3, 0)")),
+    ("mod", 1, L, (R2, "arithmetic on a location: mod(1, ℓ3)")),
+    ("lt", L, L, (R2, "arithmetic on a location: lt(ℓ3, ℓ3)")),
+    ("max", L, 2, (R2, "arithmetic on a location: max(ℓ3, 2)")),
+    ("min", 2, L, (R2, "arithmetic on a location: min(2, ℓ3)")),
+]
+
+
+@pytest.mark.parametrize("op, a, b, want", PRIM_CASES)
+def test_primitive_table_matches_the_pinned_results(op, a, b, want):
+    args = [a] if b is None else [a, b]
+    try:
+        got = apply_prim(op, args)
+    except Stuck as exc:
+        got = (exc.family, exc.reason)
+    assert got == want
+
+
+def test_primitive_table_covers_every_primitive():
+    assert set(PRIMS) == set(PRIMOPS)
+    assert {op for op, *_ in PRIM_CASES} == set(PRIMOPS)
+    with pytest.raises(Stuck, match="unknown primitive 'pow'"):
+        apply_prim("pow", [2, 3])
