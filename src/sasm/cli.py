@@ -132,8 +132,9 @@ def fuel_of(args) -> int:
 
 
 def cmd_run(args) -> int:
-    lp = load_program(args.file, args.build, fuel_of(args))
-    r = ref_run(lp.program, lp.store, fuel=fuel_of(args), inputs=lp.inputs,
+    fuel = fuel_of(args)
+    lp = load_program(args.file, args.build, fuel)
+    r = ref_run(lp.program, lp.store, fuel=fuel, inputs=lp.inputs,
                 keep_log=False)
     if args.deref:
         n = args.deref_arity
@@ -149,9 +150,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    lp = load_program(args.file, args.build, fuel_of(args))
-    t = run_from_scratch(lp.program, lp.store, inputs=lp.inputs,
-                         fuel=fuel_of(args))
+    fuel = fuel_of(args)
+    lp = load_program(args.file, args.build, fuel)
+    t = run_from_scratch(lp.program, lp.store, inputs=lp.inputs, fuel=fuel)
     sys.stdout.write(dump(t.trace))
     return 0
 
@@ -294,6 +295,8 @@ def cmd_bench(args) -> int:
         raise CliError(f"--edits must not be negative, not {args.edits}")
     fuel = fuel_of(args)
     bench = _bench_by_name(args.name, args.n, args.variant, args.seed)
+    if not bench.edit_slots:
+        raise CliError(f"benchmark {args.name!r} has no edit slots to edit")
     store, labels, inputs = bench.build()
     rng = random.Random(args.seed)
     scratch = run_from_scratch(bench.program, store.copy(), inputs=inputs,

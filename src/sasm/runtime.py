@@ -24,13 +24,13 @@ the trace: the nearest earlier run node that ends in an update (its guard,
 whose re-evaluation re-runs it), unless a bracket or the head comes first.
 
 The trace is its own order-maintenance list: a node's integer label is its
-timestamp.  An entry's history bisects on its events' live labels, in C;
-relabeling keeps trace order, so there is nothing to refresh, and each read,
-write or retirement searches its history once.  New nodes are inserted
-between the re-evaluated update point and the doomed old interval, so a
-history lookup at a new node's time sees exactly the store the faithful
-machine would see at that replay moment (earlier writes included,
-unreplayed and later writes excluded).
+timestamp.  An entry's history indexes the trace's own reads and writes and
+bisects on their nodes' live labels, in C; relabeling keeps trace order, so
+there is nothing to refresh, and each read, write or retirement searches its
+history once.  New nodes are inserted between the re-evaluated update point
+and the doomed old interval, so a history lookup at a new node's time sees
+exactly the store the faithful machine would see at that replay moment
+(earlier writes included, unreplayed and later writes excluded).
 
 A propagation costs what changed, not the whole run: its result carries the
 values and counts, kept up to date as nodes are linked and unlinked, and
@@ -177,16 +177,7 @@ class TraceNode(OMHandle):
 # -- per-entry histories -----------------------------------------------------------
 
 
-class Event:
-    """A read ("R") or write ("W") of one entry: action `idx` of `node`."""
-
-    __slots__ = ("node", "idx", "kind", "value")
-
-    def __init__(self, node: TraceNode, idx: int, kind: str, value):
-        self.node, self.idx, self.kind, self.value = node, idx, kind, value
-
-
-_LABEL = attrgetter("node.label")
+_LABEL = attrgetter("label")
 
 
 class EntryHistory:
@@ -194,43 +185,47 @@ class EntryHistory:
     ordered by timestamp; the value at a time is the latest write before
     it, falling back to the base store.
 
-    Every event's node is alive, and relabeling keeps trace order, so the
-    events stay sorted by their nodes' live labels (then by index in the
-    node): a lookup bisects on the labels themselves, and nothing is cached
-    or refreshed on relabel.  Lookups return positions in `events`."""
+    `actions[k]` is the trace's own TRead or TWrite, held by the live node
+    `nodes[k]`; a back-pointer from action to node would make every run node
+    a reference cycle, freed only by the cyclic collector.  Relabeling keeps
+    trace order, so a lookup bisects on the nodes' live labels, and nothing
+    is refreshed on relabel.  Lookups return positions in both lists."""
 
-    __slots__ = ("events",)
+    __slots__ = ("nodes", "actions")
 
     def __init__(self):
-        self.events: list[Event] = []
+        self.nodes: list[TraceNode] = []
+        self.actions: list = []
 
-    def find(self, om, node, idx) -> int:
-        """The position of the first event at or after action `idx` of the
-        live node `node`."""
-        events = self.events
-        k = bisect_left(events, om.key(node), key=_LABEL)
-        while k < len(events) and events[k].node is node \
-                and events[k].idx < idx:
+    def find(self, om, node, a) -> int:
+        """The position of the action `a` of the live node `node`."""
+        k = bisect_left(self.nodes, om.key(node), key=_LABEL)
+        while self.actions[k] is not a:
             k += 1
         return k
 
     def after(self, om, node) -> int:
-        """The position after every event of the live node `node`."""
-        return bisect_right(self.events, om.key(node), key=_LABEL)
+        """The position after every action of the live node `node`."""
+        return bisect_right(self.nodes, om.key(node), key=_LABEL)
 
-    def insert(self, om, node, idx, kind, value) -> int:
-        k = self.find(om, node, idx)
-        self.events.insert(k, Event(node, idx, kind, value))
+    def insert(self, om, node, a) -> int:
+        """Index `a`, which is the last action of `node` so far."""
+        k = self.after(om, node)
+        self.nodes.insert(k, node)
+        self.actions.insert(k, a)
         return k
+
+    def remove(self, k: int) -> None:
+        del self.nodes[k], self.actions[k]
 
     def write_before(self, k: int, base_value):
         """The value of the latest write before position k, else
         base_value."""
-        events = self.events
+        actions = self.actions
         while k:
             k -= 1
-            if events[k].kind == "W":
-                return events[k].value
+            if type(actions[k]) is TWrite:
+                return actions[k].val
         return base_value
 
 
@@ -400,16 +395,15 @@ class Runtime:
     def _invalidate(self, h: EntryHistory, k: int, value) -> None:
         """Enqueue the reads from position k up to the entry's next write
         whose recorded value differs from `value`."""
-        events = h.events
-        while k < len(events) and events[k].kind == "R":
-            if events[k].value != value:
-                self._enqueue_reader(events[k].node)
+        nodes, actions = h.nodes, h.actions
+        while k < len(actions) and type(actions[k]) is TRead:
+            if actions[k].val != value:
+                self._enqueue_reader(nodes[k])
             k += 1
 
     # -- retirement (the undo steps) ------------------------------------------------
 
-    def _retire_action(self, node: TraceNode, idx: int) -> None:
-        a = node.actions[idx]
+    def _retire_action(self, node: TraceNode, a) -> None:
         t = type(a)
         self.undo_steps += 1
         if t is TAlloc:
@@ -419,15 +413,15 @@ class Runtime:
                 h = self.histories.pop((a.loc.id, off), None)
                 self.entry_removals[(a.loc.id, off)] = int(h is not None)
                 if h is not None:
-                    for ev in h.events:
-                        if ev.kind == "R" and ev.node.alive:
-                            self._enqueue_reader(ev.node)
+                    for n, b in zip(h.nodes, h.actions):
+                        if type(b) is TRead and n.alive:
+                            self._enqueue_reader(n)
             self.base.mark_garbage(a.loc)
         elif t is TRead or t is TWrite:
             h = self.histories.get((a.loc.id, a.off))
             if h is not None:
-                k = h.find(self.om, node, idx)
-                del h.events[k]
+                k = h.find(self.om, node, a)
+                h.remove(k)
                 if t is TWrite:
                     # Its readers now see the write before it.
                     self._invalidate(h, k, h.write_before(
@@ -446,8 +440,8 @@ class Runtime:
         while node is not stop:
             nxt = node.next
             if node.kind == "run":
-                for idx in range(len(node.actions)):
-                    self._retire_action(node, idx)
+                for a in node.actions:
+                    self._retire_action(node, a)
             else:  # begin / end brackets
                 self.undo_steps += 1
             self._unlink(node)
@@ -482,12 +476,12 @@ class Runtime:
         value now); None when the window is clean."""
         n = node.next
         while n.kind == "run":
-            for i, a in enumerate(n.actions):
+            for a in n.actions:
                 t = type(a)
                 if t is TUpdate or t is TPop:
                     return None
                 if t is TRead:
-                    cur = self._value_now(a.loc, a.off, n, i)
+                    cur = self._value_now(a.loc, a.off, n, a)
                     if cur is None or cur is UNINIT or cur != a.val:
                         return a, cur
             n = n.next
@@ -579,21 +573,19 @@ class Runtime:
             at = TraceNode("run")
             at.region = region
             self._link(at)
-        idx = len(at.actions)
         at.actions.append(a)
         self.live_entries += 1
         if t is TRead:
-            self._hist(a.loc.id, a.off).insert(self.om, at, idx, "R", a.val)
+            self._hist(a.loc.id, a.off).insert(self.om, at, a)
         elif t is TWrite:
             h = self._hist(a.loc.id, a.off)
-            self._invalidate(h, h.insert(self.om, at, idx, "W", a.val) + 1,
-                             a.val)
+            self._invalidate(h, h.insert(self.om, at, a) + 1, a.val)
         elif t is TMemo:
             self.memo_index.setdefault((a.eid, a.env), []).append(at)
 
-    def _value_now(self, loc, off, node: TraceNode, idx=None):
-        """The entry's value just before action `idx` of `node`, or after
-        all of `node`'s actions when idx is None; None if unavailable."""
+    def _value_now(self, loc, off, node: TraceNode, a=None):
+        """The entry's value just before the action `a` of `node`, or after
+        all of `node`'s actions when a is None; None if unavailable."""
         if type(loc) is not Loc or type(off) is not int:
             return None
         if loc.id in self.base.garbage:
@@ -602,8 +594,7 @@ class Runtime:
         h = self.histories.get((loc.id, off))
         if h is None:
             return base_val
-        k = h.after(self.om, node) if idx is None else \
-            h.find(self.om, node, idx)
+        k = h.after(self.om, node) if a is None else h.find(self.om, node, a)
         return h.write_before(k, base_val)
 
     def _replay_window(self, node: TraceNode) -> None:
@@ -693,7 +684,7 @@ class Runtime:
         store = self.base.copy()
         for (lid, off), h in self.histories.items():
             base_val = store.cells.get((lid, off))
-            v = h.write_before(len(h.events), base_val)
+            v = h.write_before(len(h.actions), base_val)
             if v is not None and (lid, off) in store.cells:
                 store.cells[(lid, off)] = v
         return store

@@ -54,8 +54,6 @@ class TMemo:
 
     eid: int
     env: SavedEnv
-    expr: A.Expr = field(compare=False, repr=False)
-    fnames: frozenset = field(compare=False, repr=False, default=frozenset())
 
 
 @dataclass(slots=True)

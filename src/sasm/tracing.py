@@ -110,8 +110,8 @@ def _inst(store, env: dict, e: A.Inst, saved):  # E.1-E.3
 
 
 def _memo(store, env: dict, e: A.Memo, saved):  # E.4
-    var_items, fnames = saved(env, e.eid)
-    return "E.4", TMemo(e.eid, var_items, e.body, fnames), env, e.body
+    var_items, _ = saved(env, e.eid)
+    return "E.4", TMemo(e.eid, var_items), env, e.body
 
 
 def _update(store, env: dict, e: A.Update, saved):  # E.5

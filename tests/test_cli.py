@@ -159,9 +159,10 @@ def test_bench_row(capsys):
     (["list_sum", "--n", "48"], "list length 48 is not a power of two"),
     (["array_max", "--n", "6"], "array length 6 is not a power of two"),
     (["list_map", "--n", "0"], "list length must be at least 1"),
-    (["list_reverse", "--n", "-3"], "list length must be at least 1")],
+    (["list_reverse", "--n", "-3"], "list length must be at least 1"),
+    (["exptrees", "--edits", "2"], "benchmark 'exptrees' has no edit slots")],
     ids=["list_quicksort", "list_mergesort", "list_bogus", "list_sum-48",
-         "array_max-6", "list_map-0", "list_reverse--3"])
+         "array_max-6", "list_map-0", "list_reverse--3", "exptrees"])
 def test_bench_bad_name_or_size_is_an_error_line(argv, message):
     assert_error_line(["bench", *argv], message)
 

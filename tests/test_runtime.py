@@ -1,6 +1,7 @@
 """The efficient runtime: order maintenance, node packing and guards, entry
 histories, dirtying, and full equivalence against the faithful machine."""
 
+import gc
 import random
 from collections import Counter
 
@@ -132,32 +133,38 @@ def test_naive_order_matches_a_plain_list():
 
 
 def _readers_from(h, k):
-    """(node, idx, value) of the reads from position k of `h` up to the
-    entry's next write."""
+    """(node, read) of the reads from position k of `h` up to the entry's
+    next write."""
     out = []
-    while k < len(h.events) and h.events[k].kind == "R":
-        ev = h.events[k]
-        out.append((ev.node, ev.idx, ev.value))
+    while k < len(h.actions) and type(h.actions[k]) is TRead:
+        out.append((h.nodes[k], h.actions[k]))
         k += 1
     return out
 
 
+def _ids(pairs):
+    """(node, action) pairs compared by the actions' identity, not value."""
+    return [(node, id(a)) for node, a in pairs]
+
+
 def test_entry_history_against_a_sorted_list_oracle():
     # Nodes are inserted often right after the first few, so labels run out
-    # and successors are spread: the events are looked up across relabels.
-    # Half the new events go to a node that already holds one, so nodes
-    # hold several events, which share its label and are ordered by index.
+    # and successors are spread: the actions are looked up across relabels.
+    # Half the new actions go to a node that already holds one, so nodes
+    # hold several, which share its label and keep their order in the node.
     rng = random.Random(3)
     om = OrderMaintenance(origin=TraceNode("head"))
     head = om.origin()
     order = [head]  # the true node order, as a plain list
     rank = {head: 0}
+    loc = Loc(1)
     h = EntryHistory()
-    events = []  # the oracle: (node, idx, kind, value) in any order
+    indexed = []  # the oracle: (node, action) in any order
     shared_probes = 0
 
-    def pos(node, idx):
-        return (rank[node], idx)
+    def pos(node, a):
+        return rank[node], next(i for i, b in enumerate(node.actions)
+                                if b is a)
 
     for _ in range(1200):
         r = rng.random()
@@ -167,55 +174,57 @@ def test_entry_history_against_a_sorted_list_oracle():
             om.insert_after(after, node)
             order.insert(order.index(after) + 1, node)
             rank = {n: k for k, n in enumerate(order)}
-        elif r < 0.85 or not events:
+        elif r < 0.85 or not indexed:
             node = rng.choice(order[1:]) if rng.random() < 0.5 or \
-                not events else rng.choice(events)[0]
-            idx = rng.randrange(4)
-            if any(ev[0] is node and ev[1] == idx for ev in events):
-                continue
-            ev = (node, idx, rng.choice("RW"), rng.randrange(5))
-            k = h.insert(om, *ev)
-            assert h.events[k].node is node and h.events[k].idx == idx
-            events.append(ev)
+                not indexed else rng.choice(indexed)[0]
+            # As in a trace, the action is its node's last when indexed.
+            a = rng.choice((TRead, TWrite))(rng.randrange(5), loc, 1)
+            node.actions.append(a)
+            k = h.insert(om, node, a)
+            assert h.nodes[k] is node and h.actions[k] is a
+            indexed.append((node, a))
         else:
-            node, idx, _, _ = events.pop(rng.randrange(len(events)))
-            k = h.find(om, node, idx)
-            assert h.events[k].node is node and h.events[k].idx == idx
-            del h.events[k]
-        want = sorted(events, key=lambda ev: pos(ev[0], ev[1]))
-        assert [(ev.node, ev.idx, ev.kind, ev.value)
-                for ev in h.events] == want
-        writes = [ev[3] for ev in want if ev[2] == "W"]
-        assert h.write_before(len(h.events), "base") == (
+            node, a = indexed.pop(rng.randrange(len(indexed)))
+            k = h.find(om, node, a)
+            assert h.nodes[k] is node and h.actions[k] is a
+            h.remove(k)
+        where = {id(a): pos(n, a) for n, a in indexed}
+        want = sorted(indexed, key=lambda ev: where[id(ev[1])])
+        assert len(h.nodes) == len(h.actions)
+        assert _ids(zip(h.nodes, h.actions)) == _ids(want)
+        writes = [a.val for _, a in want if type(a) is TWrite]
+        assert h.write_before(len(h.actions), "base") == (
             writes[-1] if writes else "base")
-        probes = [(head, -1)] + [(n, i) for n in rng.sample(order, 2)
-                                 for i in (-1, 0, 4)]
-        probes += [ev[:2] for ev in rng.sample(events, min(3, len(events)))]
-        held = Counter(ev[0] for ev in events)
+        # A probe is an indexed action (found by `find`) or a node (the
+        # position after its actions, by `after`).
+        probes = [(n, None) for n in [head] + rng.sample(order, 2)]
+        probes += rng.sample(indexed, min(3, len(indexed)))
+        held = Counter(n for n, _ in indexed)
         shared = [n for n in order if held[n] > 1]
         if shared:
-            probes += [(rng.choice(shared), i) for i in range(-1, 5)]
-        for node, idx in probes:
-            p = pos(node, idx)
-            k = h.find(om, node, idx)
-            assert k == sum(pos(ev[0], ev[1]) < p for ev in want)
-            writes = [ev[3] for ev in want
-                      if ev[2] == "W" and pos(ev[0], ev[1]) < p]
+            node = rng.choice(shared)
+            probes += [(node, None)] + [ev for ev in indexed
+                                        if ev[0] is node]
+        for node, a in probes:
+            if a is None:
+                p, k = (rank[node], len(node.actions)), h.after(om, node)
+            else:
+                p, k = where[id(a)], h.find(om, node, a)
+            assert k == sum(where[id(b)] < p for _, b in want)
+            writes = [b.val for _, b in want
+                      if type(b) is TWrite and where[id(b)] < p]
             assert h.write_before(k, "base") == (
                 writes[-1] if writes else "base")
-            after = h.after(om, node)
-            assert after == sum(rank[ev[0]] <= rank[node] for ev in want)
             readers = []
-            for ev in want:
-                if pos(ev[0], ev[1]) <= p:
+            for n, b in want:
+                if where[id(b)] <= p:
                     continue
-                if ev[2] == "W":
+                if type(b) is TWrite:
                     break
-                readers.append((ev[0], ev[1], ev[3]))
-            # A write at (node, idx) breaks the reads after its position.
-            at = k < len(h.events) and h.events[k].node is node \
-                and h.events[k].idx == idx
-            assert _readers_from(h, k + at) == readers
+                readers.append((n, b))
+            # A write at `a` breaks the reads after it.
+            assert _ids(_readers_from(h, k + (a is not None))) == \
+                _ids(readers)
             shared_probes += node in shared
     assert om.relabels > 3
     assert shared_probes > 100
@@ -304,26 +313,31 @@ def _check_run_nodes(rt, where):
         n = n.next
     assert n.alive, where
     # The histories index exactly the live reads and writes of live
-    # entries, each once, in (label, idx) order: lookups bisect on the
-    # nodes' labels and check no event's node for liveness.
-    indexed = Counter()
-    for (lid, off), h in rt.histories.items():
-        keys = [(ev.node.label, ev.idx) for ev in h.events]
-        assert all(a < b for a, b in zip(keys, keys[1:])), where
-        for ev in h.events:
-            assert ev.node.alive, where
-            a = ev.node.actions[ev.idx]
-            assert type(a) is (TRead if ev.kind == "R" else TWrite), where
-            assert (a.loc.id, a.off, a.val) == (lid, off, ev.value), where
-            indexed[(ev.node, ev.idx)] += 1
-    live = Counter()
+    # entries, each once, beside the node it sits in, in (label, position
+    # in node) order: lookups bisect on the nodes' labels and check no
+    # node for liveness.
+    live, sits = Counter(), {}
     n = rt.head.next
     while n is not rt.tail:
         if n.kind == "run":
-            live.update((n, i) for i, a in enumerate(n.actions)
-                        if isinstance(a, (TRead, TWrite))
-                        and a.loc.id not in rt.base.garbage)
+            for i, a in enumerate(n.actions):
+                sits[id(a)] = (n, i)
+                if isinstance(a, (TRead, TWrite)) and \
+                        a.loc.id not in rt.base.garbage:
+                    live[(n, i)] += 1
         n = n.next
+    indexed = Counter()
+    for (lid, off), h in rt.histories.items():
+        assert len(h.nodes) == len(h.actions), where
+        keys = []
+        for node, a in zip(h.nodes, h.actions):
+            at = sits.get(id(a))
+            assert node.alive and at is not None and at[0] is node, where
+            assert type(a) in (TRead, TWrite), where
+            assert (a.loc.id, a.off) == (lid, off), where
+            keys.append((node.label, at[1]))
+            indexed[at] += 1
+        assert all(a < b for a, b in zip(keys, keys[1:])), where
     assert indexed == live, where
 
 
@@ -621,6 +635,35 @@ def test_soak_list_map_keeps_updates_last_and_no_garbage_histories():
             assert canonicalize(fast.values, fast.trace, fast.store, host) == \
                 canonicalize(fresh.values, fresh.trace, fresh.store, host), \
                 batch
+
+
+def test_retired_nodes_are_freed_by_reference_counting():
+    # No action points back at its node, so no run node is a reference
+    # cycle: with the cyclic collector off, every node an edit retires is
+    # freed at once, and only the linked ones stay alive.
+    gc.collect()
+    # Held for the whole test, so no new node can reuse one of their ids.
+    older = [o for o in gc.get_objects() if type(o) is TraceNode]
+    seen = {id(o) for o in older}
+    bench = gen_list("map", 64, 0)
+    store, labels, inputs = bench.build()
+    host = store.copy()
+    gc.disable()
+    try:
+        rt = Runtime(bench.program, store.copy(), inputs=inputs)
+        for batch in range(30):
+            edits = gen_edits(500 + batch, host, labels, bench.edit_slots, 1)
+            apply_edits(host, labels, edits)
+            rt.propagate([e.resolve(labels) for e in edits])
+        alive = {id(o) for o in gc.get_objects()
+                 if type(o) is TraceNode and id(o) not in seen}
+    finally:
+        gc.enable()
+    linked, n = {id(rt.tail)}, rt.head
+    while n is not rt.tail:
+        linked.add(id(n))
+        n = n.next
+    assert len(alive) == len(linked) and alive == linked
 
 
 def test_soak_head_edits_look_up_histories_across_relabels():
