@@ -10,7 +10,8 @@ marks record how the machine entered a subtrace: a push mark (evaluation), a
 propagation mark carrying the unconsumed tail, or an undo mark carrying the
 tail saved while discarding a subtrace.  Rewinding moves the focus backwards,
 gathering actions into a completed subtrace; it stops at push and propagation
-marks, and restores undo-mark tails into the focus on the way.
+marks, and restores undo-mark tails into the focus on the way.  The relation
+is written once, as one loop: `rewind_step` is its one-step case.
 """
 
 from __future__ import annotations
@@ -172,24 +173,36 @@ class Blocked:
     mark: str  # "push" | "prop" | "none"
 
 
+def _rewind(ctx: Ctx, focus: Trace, gathered: Trace, limit: int):
+    """Rewind until a push or propagation mark heads the context, it is
+    empty, or `limit` steps are taken (a negative limit never runs out).
+    Builds no zipper.  Returns (ctx, focus, gathered)."""
+    while limit and ctx is not None:
+        head, rest = ctx
+        t = type(head)
+        if head is PUSH_MARK or t is PropMark:
+            break
+        if t is UndoMark:
+            focus = head.sub if focus is None else (TPush(focus), head.sub)
+        else:
+            gathered = (head, gathered)
+        ctx = rest
+        limit -= 1
+    return ctx, focus, gathered
+
+
 def rewind_step(z: TraceZipper, gathered: Trace):
-    """One step of the trace rewinding relation.
+    """One step of the trace rewinding relation: `_rewind` with limit 1.
 
     Returns (zipper', gathered') or Blocked at a push/prop mark or an empty
     context.
     """
-    if z.ctx is None:
+    ctx, focus, gathered = _rewind(z.ctx, z.focus, gathered, 1)
+    if ctx is not z.ctx:
+        return TraceZipper(ctx, focus), gathered
+    if ctx is None:
         return Blocked("none")
-    head, rest = z.ctx
-    if head is PUSH_MARK:
-        return Blocked("push")
-    if isinstance(head, PropMark):
-        return Blocked("prop")
-    if isinstance(head, UndoMark):
-        if z.focus is None:
-            return TraceZipper(rest, head.sub), gathered
-        return TraceZipper(rest, (TPush(z.focus), head.sub)), gathered
-    return TraceZipper(rest, z.focus), (head, gathered)
+    return Blocked("push" if ctx[0] is PUSH_MARK else "prop")
 
 
 @dataclass
@@ -202,21 +215,18 @@ class RewindResult:
 
 
 def rewind_to_mark(z: TraceZipper) -> RewindResult:
-    """Iterate rewind_step until blocked.
+    """Iterate rewind_step until blocked, in one run of `_rewind`.
 
     mark == "none" means the context was exhausted: the gathered trace is the
     whole completed program trace (top-of-program completion).
     """
-    gathered: Trace = None
-    while True:
-        r = rewind_step(z, gathered)
-        if isinstance(r, Blocked):
-            if r.mark == "none":
-                return RewindResult(None, "none", gathered, z.focus)
-            head, rest = z.ctx
-            tail = head.sub if isinstance(head, PropMark) else None
-            return RewindResult(rest, r.mark, gathered, z.focus, tail)
-        z, gathered = r
+    ctx, focus, gathered = _rewind(z.ctx, z.focus, None, -1)
+    if ctx is None:
+        return RewindResult(None, "none", gathered, focus)
+    head, rest = ctx
+    if head is PUSH_MARK:
+        return RewindResult(rest, "push", gathered, focus)
+    return RewindResult(rest, "prop", gathered, focus, head.sub)
 
 
 # -- the okay invariant ---------------------------------------------------

@@ -206,18 +206,18 @@ class TracingMachine:
     def _undo_one(self) -> str:
         if self.focus is not None:
             a, tail = self.focus
-            if isinstance(a, TAlloc):
+            if type(a) is TAlloc:
                 self.store.mark_garbage(a.loc)
                 self.focus = tail
                 return self._emit("U.1")
-            if isinstance(a, TPush):
+            if type(a) is TPush:
                 self.ctx = (UndoMark(tail), self.ctx)
                 self.focus = a.sub
                 self._seek_depth += 1
                 return self._emit("U.3")
             self.focus = tail
             return self._emit("U.2")
-        if self.ctx is not None and isinstance(self.ctx[0], UndoMark):
+        if self.ctx is not None and type(self.ctx[0]) is UndoMark:
             self.focus = self.ctx[0].sub
             self.ctx = self.ctx[1]
             self._seek_depth -= 1
@@ -230,7 +230,7 @@ class TracingMachine:
         if self._seek_target is not None:
             eid, var_items = self._seek_target
             head = self.focus[0] if self.focus is not None else None
-            if (self._seek_depth == 0 and isinstance(head, TMemo)
+            if (self._seek_depth == 0 and type(head) is TMemo
                     and head.eid == eid and head.env == var_items):
                 # E.P: matched; switch to propagation over the reused tail.
                 self._seek_target = None
@@ -241,7 +241,8 @@ class TracingMachine:
                 return self._emit("E.P")
             return self._undo_one()
 
-        if isinstance(e, A.Memo):
+        t = type(e)
+        if t is A.Memo:
             take = False
             match = None
             # Matches are only taken with no evaluation frames open: a match
@@ -257,7 +258,7 @@ class TracingMachine:
                 self._seek_depth = 0
                 return self._eval_step(e)
 
-        rule = STEP_RULES.get(type(e))
+        rule = STEP_RULES.get(t)
         if rule is not None:
             traced, step = rule
             if not traced:
@@ -269,7 +270,7 @@ class TracingMachine:
             self.ctx = (action, self.ctx)
             return self._emit(tag)
 
-        if isinstance(e, A.Push):
+        if t is A.Push:
             self.ctx = (PUSH_MARK, self.ctx)
             self.stack.append(Frame(self.env, e.fname))
             if self.debug:
@@ -299,7 +300,7 @@ class TracingMachine:
         # Empty stack: drain any leftover reuse trace, then rewind to a
         # propagation mark (P.8) or complete the run.
         if self.focus is not None or (
-                self.ctx is not None and isinstance(self.ctx[0], UndoMark)):
+                self.ctx is not None and type(self.ctx[0]) is UndoMark):
             return self._undo_one()
         r = rewind_to_mark(self.zipper())
         if r.mark == "prop":
@@ -329,15 +330,17 @@ class TracingMachine:
         """True iff a read between here and the next update/push/pop boundary
         disagrees with the store the replay will see at that point."""
         pending: dict[tuple[int, int], object] = {}
-        for a in iter_chain(tail):
-            if isinstance(a, (TUpdate, TPush, TPop)):
+        while tail is not None:
+            a, tail = tail
+            t = type(a)
+            if t is TUpdate or t is TPush or t is TPop:
                 break
-            if isinstance(a, TWrite):
+            if t is TWrite:
                 pending[(a.loc.id, a.off)] = a.val
-            elif isinstance(a, TAlloc):
+            elif t is TAlloc:
                 for i in range(1, a.size + 1):
                     pending[(a.loc.id, i)] = UNINIT
-            elif isinstance(a, TRead):
+            elif t is TRead:
                 key = (a.loc.id, a.off)
                 cur = pending[key] if key in pending else self.store.peek(a.loc, a.off)
                 if cur is None or cur is UNINIT or cur != a.val:
@@ -348,12 +351,13 @@ class TracingMachine:
         if self.focus is None:
             raise Stuck("P", "propagation over an empty reuse trace")
         a, tail = self.focus
-        if isinstance(a, TAlloc):
+        t = type(a)
+        if t is TAlloc:
             self.store.alloc(a.size, a.loc.id)
             self.ctx = (a, self.ctx)
             self.focus = tail
             return self._emit("P.1")
-        if isinstance(a, TRead):
+        if t is TRead:
             v = self.store.read(a.loc, a.off)
             if v != a.val:
                 raise Stuck("P.2", f"read of {a.loc!r}[{a.off}] sees "
@@ -361,16 +365,16 @@ class TracingMachine:
             self.ctx = (a, self.ctx)
             self.focus = tail
             return self._emit("P.2")
-        if isinstance(a, TWrite):
+        if t is TWrite:
             self.store.write(a.loc, a.off, a.val)
             self.ctx = (a, self.ctx)
             self.focus = tail
             return self._emit("P.3")
-        if isinstance(a, TMemo):
+        if t is TMemo:
             self.ctx = (a, self.ctx)
             self.focus = tail
             return self._emit("P.4")
-        if isinstance(a, TUpdate):
+        if t is TUpdate:
             reeval = self.window_dirty(tail)
             if self.policy.update_chooser is not None:
                 reeval = self.policy.update_chooser(reeval)
@@ -391,7 +395,7 @@ class TracingMachine:
             self.ctx = (a, self.ctx)
             self.focus = tail
             return self._emit("P.5")
-        if isinstance(a, TPush):
+        if t is TPush:
             self.ctx = (PropMark(tail), self.ctx)
             if self.debug:
                 orig = last_action(a.sub)
@@ -400,7 +404,7 @@ class TracingMachine:
                      orig.vals if isinstance(orig, TPop) else None))
             self.focus = a.sub
             return self._emit("P.6")
-        if isinstance(a, TPop):
+        if t is TPop:
             if tail is not None:
                 raise Stuck("P.7", "pop action not final in its subtrace")
             self.ctx = (a, self.ctx)
@@ -417,14 +421,15 @@ class TracingMachine:
             if self.debug:
                 assert not self.env, "propagation requires an empty environment"
             return self._prop_step()
-        if isinstance(cmd, Values):
+        if type(cmd) is Values:
             return self._values_step(cmd)
         return self._eval_step(cmd)
 
     def run(self, fuel: int = DEFAULT_FUEL) -> BalancedResult:
+        step = self.step
         steps = 0
         while True:
-            tag = self.step()
+            tag = step()
             if tag == TERMINATED:
                 assert isinstance(self.command, Values)
                 return BalancedResult(self.command.vals, self.store,
@@ -456,12 +461,15 @@ def run_from_scratch(prog: A.Program, store: Store | None = None,
 
 
 def _max_loc_id(t: Trace) -> int:
-    worst = 0
-    for a in iter_chain(t):
-        if isinstance(a, TAlloc):
-            worst = max(worst, a.loc.id)
-        elif isinstance(a, TPush):
-            worst = max(worst, _max_loc_id(a.sub))
+    worst, todo = 0, [t]
+    while todo:
+        t = todo.pop()
+        while t is not None:
+            a, t = t
+            if type(a) is TAlloc:
+                worst = max(worst, a.loc.id)
+            elif type(a) is TPush:
+                todo.append(a.sub)
     return worst
 
 

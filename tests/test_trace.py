@@ -1,12 +1,17 @@
 """The zipper: rewinding cases, blocking, bookkeeping, the okay invariant."""
 
+from sasm import tracing
+from sasm.corpus import corpus_benchmarks
+from sasm.dps import dps_convert_program
+from sasm.errors import Stuck
+from sasm.fuzz import gen_edits, gen_program
 from sasm.parser import parse_program
-from sasm.store import Loc
-from sasm.trace import (Blocked, PUSH_MARK, PropMark, TPop, TPush, TRead,
-                        TWrite, TraceZipper, UndoMark, action_count,
+from sasm.store import Loc, Store
+from sasm.trace import (Blocked, PUSH_MARK, PropMark, TAlloc, TPop, TPush,
+                        TRead, TWrite, TraceZipper, UndoMark, action_count,
                         check_okay, ctx_action_count, dump, from_list,
                         last_action, rewind_step, rewind_to_mark, to_list)
-from sasm.tracing import run_from_scratch
+from sasm.tracing import propagate, propagation_machine, run_from_scratch
 
 
 L = Loc(1)
@@ -139,6 +144,103 @@ def test_rewind_only_shortens_context_and_preserves_marks():
         assert found or z.ctx is None
         assert marks(z.ctx) == marks(prev_ctx)
         prev_ctx = z.ctx
+
+
+def same_chain(a, b) -> bool:
+    """Structural equality of two traces, walked without recursion (`==` on
+    cons chains recurses once per action)."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        while a is not b:
+            if a is None or b is None:
+                return False
+            (x, a), (y, b) = a, b
+            if type(x) is TPush and type(y) is TPush:
+                todo.append((x.sub, y.sub))
+            elif x != y:
+                return False
+    return True
+
+
+def assert_rewinds_agree(z):
+    """rewind_to_mark(z) is rewind_step iterated from z until Blocked."""
+    r = rewind_to_mark(z)
+    gathered = None
+    while not isinstance(step := rewind_step(z, gathered), Blocked):
+        z, gathered = step
+    assert r.mark == step.mark
+    assert r.ctx is (None if z.ctx is None else z.ctx[1])
+    assert r.prop_tail is (z.ctx[0].sub if step.mark == "prop" else None)
+    assert same_chain(r.gathered, gathered)
+    assert same_chain(r.focus, z.focus)
+
+
+def test_rewind_to_mark_is_rewind_step_iterated_on_hand_built_contexts():
+    t2 = from_list([WRITE, POP])
+    for ctx_entries, focus in [
+            ([READ], []), ([UndoMark(t2)], []), ([UndoMark(t2)], [READ]),
+            ([PUSH_MARK], []), ([PropMark(t2)], []), ([], []),
+            ([PUSH_MARK, READ, UndoMark(from_list([WRITE])), POP], []),
+            ([PUSH_MARK, READ, UndoMark(t2), POP], [READ]),
+            ([PropMark(t2), UndoMark(t2), READ, UndoMark(None), WRITE],
+             [POP]),
+            ([READ, UndoMark(t2), UndoMark(from_list([READ]))], [WRITE])]:
+        assert_rewinds_agree(zipper(ctx_entries, focus))
+
+
+def test_rewind_to_mark_is_rewind_step_iterated_on_real_runs(monkeypatch):
+    """Every zipper the tracing machine rewinds, from scratch and in one
+    faithful propagation, over the corpus and fuzz seeds 0..199.  Real runs
+    do not rewind across undo marks; the hand-built contexts above do."""
+    seen = []
+
+    def recording(z):
+        seen.append(z)
+        return rewind_to_mark(z)
+
+    monkeypatch.setattr(tracing, "rewind_to_mark", recording)
+
+    def run(prog, store, labels, inputs, edits, native):
+        t = run_from_scratch(prog, store.copy(), inputs=inputs)
+        if not native:
+            prog = dps_convert_program(prog)
+            t = run_from_scratch(prog, store.copy(), inputs=inputs)
+        edited = store.copy()
+        for e in edits:
+            edited.write(*e.resolve(labels))
+        try:
+            propagate(prog, t.trace, edited)
+        except Stuck:
+            pass
+
+    for b in corpus_benchmarks():
+        store, labels, inputs = b.build()
+        edits = next(iter(b.fixture_edits.values()), None)
+        if edits is None:
+            edits = gen_edits(1, store, labels, b.edit_slots, 2)
+        run(b.program, store, labels, inputs, edits, b.native_csa)
+    corpus_rewinds = len(seen)
+    for seed in range(200):
+        case = gen_program(seed)
+        store, labels, inputs = case.build()
+        run(case.program, store, labels, inputs,
+            gen_edits(seed + 1, store, labels, case.edit_slots, 2), False)
+    assert 0 < corpus_rewinds < len(seen)
+    for z in seen:
+        assert_rewinds_agree(z)
+    assert {rewind_to_mark(z).mark for z in seen} == {"push", "prop", "none"}
+
+
+def test_propagation_reserves_ids_of_allocations_at_every_depth():
+    prog = parse_program("pop(1)\narity 1\n")
+    alloc = lambda i: TAlloc(Loc(i), 1)
+    innermost = from_list([alloc(40), POP])
+    middle = from_list([alloc(20), TPush(innermost), POP])
+    reuse = from_list([alloc(10), TPush(middle), alloc(5), POP])
+    store = Store()
+    propagation_machine(prog, reuse, store)
+    assert store.alloc(1).id > 40
 
 
 # -- the okay invariant ------------------------------------------------------
