@@ -31,6 +31,10 @@ def _inst_vars(inst: A.Instruction) -> set[str]:
     return _vals_vars((inst.loc, inst.off, inst.val))
 
 
+# The let forms: each binds a name (or a function) and goes on to `cont`.
+_LETS = (A.FunDef, A.PrimOp, A.Inst)
+
+
 @dataclass
 class LiveSet:
     """Per-expression-id live names (variables and function names), and for
@@ -55,18 +59,19 @@ def live_vars(prog: A.Program) -> LiveSet:
     saved: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
 
     def live_of(e: A.Expr, record: dict[int, frozenset[str]] | None) -> frozenset[str]:
-        if isinstance(e, A.FunDef):
-            out = live_of(e.cont, record) - {e.fname}
-        elif isinstance(e, A.PrimOp):
-            out = frozenset(_vals_vars(e.args)) | (live_of(e.cont, record) - {e.var})
-        elif isinstance(e, A.If):
+        # A let chain (FunDef, PrimOp, Inst) is walked in a loop down to
+        # its first other expression, then folded back, so a long
+        # straight-line program does not recurse once per let.
+        chain = []
+        while isinstance(e, _LETS):
+            chain.append(e)
+            e = e.cont
+        if isinstance(e, A.If):
             out = {e.cond} | live_of(e.then, record) | live_of(e.els, record)
             out = frozenset(out)
         elif isinstance(e, A.App):
             out = (frozenset({e.fname}) | frozenset(_vals_vars(e.args))
                    | needs.get(e.fname, frozenset()))
-        elif isinstance(e, A.Inst):
-            out = frozenset(_inst_vars(e.inst)) | (live_of(e.cont, record) - {e.var})
         elif isinstance(e, (A.Memo, A.Update)):
             out = live_of(e.body, record)
             if record is not None:
@@ -80,6 +85,15 @@ def live_vars(prog: A.Program) -> LiveSet:
             raise TypeError(f"not an expression: {e!r}")
         if record is not None:
             record[e.eid] = out
+        for let in reversed(chain):
+            if isinstance(let, A.FunDef):
+                out = out - {let.fname}
+            elif isinstance(let, A.PrimOp):
+                out = frozenset(_vals_vars(let.args)) | (out - {let.var})
+            else:
+                out = frozenset(_inst_vars(let.inst)) | (out - {let.var})
+            if record is not None:
+                record[let.eid] = out
         return out
 
     changed = True
@@ -111,12 +125,10 @@ class RegionUpdateInfo:
 
 
 def expr_reaches_update(e: A.Expr, fn_reaches: dict[str, bool]) -> bool:
+    while isinstance(e, _LETS):
+        e = e.cont
     if isinstance(e, A.Update):
         return True
-    if isinstance(e, A.FunDef):
-        return expr_reaches_update(e.cont, fn_reaches)
-    if isinstance(e, (A.PrimOp, A.Inst)):
-        return expr_reaches_update(e.cont, fn_reaches)
     if isinstance(e, A.If):
         return (expr_reaches_update(e.then, fn_reaches)
                 or expr_reaches_update(e.els, fn_reaches))

@@ -14,7 +14,9 @@ earlier.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable
 
 REF_TAGS = frozenset(
@@ -135,13 +137,33 @@ class CostVector:
                 f"tracing=(e={e}, p={p}, u={uu})  realized={self.realized}")
 
 
+_E = frozenset(t for t in TRACE_TAGS if t[0] == "E")
+_P = frozenset(t for t in TRACE_TAGS if t[0] == "P")
+_U = frozenset(t for t in TRACE_TAGS if t[0] == "U")
+_HEIGHT = {**dict.fromkeys(_PUSH, 1), **dict.fromkeys(_POP, -1)}
+
+
 def cost_vector(log: Iterable[str]) -> CostVector:
+    """The four models' costs, counted in one pass over the log's tags.
+
+    Each entry equals the model's fold (`cost_of_run`): steps, store and
+    tracing costs are tag counts, and the stack's max height m is the
+    largest prefix sum of +1 per push and -1 per pop, starting at 0."""
     log = list(log)
+    n = Counter(log)
+    if n.keys() - ALL_TAGS:
+        raise UnknownTag(next(t for t in log if t not in ALL_TAGS))
+
+    def count(tags) -> int:
+        return sum(n[t] for t in tags)
+
+    u, d = count(_PUSH), count(_POP)
+    m = max(accumulate(filter(None, map(_HEIGHT.get, log)), initial=0))
     return CostVector(
-        steps=cost_of_run(log, M_STEPS),
-        store=cost_of_run(log, M_STORE),
-        stack=cost_of_run(log, M_STACK),
-        tracing=cost_of_run(log, M_TRACING),
+        steps=len(log),
+        store=(count(_ALLOC), count(_READ), count(_WRITE)),
+        stack=(u, d, u - d, m),
+        tracing=(count(_E), count(_P), count(_U)),
     )
 
 

@@ -135,12 +135,15 @@ def action_count(t: Trace) -> int:
     """Atomic actions in a trace (push wrappers contribute their contents
     only; rewinding may rewrap leftovers into fresh push actions, so wrapper
     counts are not conserved but atomic counts are)."""
-    n = 0
-    for a in iter_chain(t):
-        if isinstance(a, TPush):
-            n += action_count(a.sub)
-        else:
-            n += 1
+    n, todo = 0, [t]
+    while todo:
+        t = todo.pop()
+        while t is not None:
+            a, t = t
+            if type(a) is TPush:
+                todo.append(a.sub)
+            else:
+                n += 1
     return n
 
 
@@ -272,29 +275,38 @@ def _env_str(env: SavedEnv) -> str:
 
 
 def dump_lines(t: Trace, depth: int = 0) -> list[str]:
-    pad = "  " * depth
     out: list[str] = []
-    for a in iter_chain(t):
-        if isinstance(a, TAlloc):
-            out.append(f"{pad}A {a.loc!r} {a.size}")
-        elif isinstance(a, TRead):
-            out.append(f"{pad}R {fmt_value(a.val)} {a.loc!r} {a.off}")
-        elif isinstance(a, TWrite):
-            out.append(f"{pad}W {fmt_value(a.val)} {a.loc!r} {a.off}")
-        elif isinstance(a, TMemo):
-            out.append(f"{pad}M #{a.eid} {_env_str(a.env)}")
-        elif isinstance(a, TUpdate):
-            out.append(f"{pad}U #{a.eid} {_env_str(a.env)}")
-        elif isinstance(a, TPush):
-            out.append(f"{pad}(")
-            out.extend(dump_lines(a.sub, depth + 1))
-            out.append(f"{pad})")
-        elif isinstance(a, TPop):
-            vals = ",".join(fmt_value(v) for v in a.vals)
-            out.append(f"{pad}P ⟨{vals}⟩")
-        else:
-            raise TypeError(f"not a trace action: {a!r}")
-    return out
+    todo: list[Trace] = []  # the tails after each open push
+    pad = "  " * depth
+    while True:
+        while t is not None:
+            a, t = t
+            k = type(a)
+            if k is TAlloc:
+                out.append(f"{pad}A {a.loc!r} {a.size}")
+            elif k is TRead:
+                out.append(f"{pad}R {fmt_value(a.val)} {a.loc!r} {a.off}")
+            elif k is TWrite:
+                out.append(f"{pad}W {fmt_value(a.val)} {a.loc!r} {a.off}")
+            elif k is TMemo:
+                out.append(f"{pad}M #{a.eid} {_env_str(a.env)}")
+            elif k is TUpdate:
+                out.append(f"{pad}U #{a.eid} {_env_str(a.env)}")
+            elif k is TPush:
+                out.append(f"{pad}(")
+                todo.append(t)
+                t = a.sub
+                pad += "  "
+            elif k is TPop:
+                vals = ",".join(fmt_value(v) for v in a.vals)
+                out.append(f"{pad}P ⟨{vals}⟩")
+            else:
+                raise TypeError(f"not a trace action: {a!r}")
+        if not todo:
+            return out
+        t = todo.pop()
+        pad = pad[2:]
+        out.append(f"{pad})")
 
 
 def dump(t: Trace) -> str:

@@ -25,6 +25,7 @@ evaluation plus undo steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from . import ilast as A
@@ -35,7 +36,7 @@ from .refmachine import (CONTROL_RULES, Frame, Values, apply_frame,
 from .store import Loc, MachineValue, Store, UNINIT, resolve, step_store
 from .trace import (
     PUSH_MARK, PropMark, TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
-    Trace, TraceZipper, UndoMark, iter_chain, last_action, rewind_to_mark,
+    Trace, TraceZipper, UndoMark, last_action, rewind_to_mark,
 )
 
 
@@ -525,21 +526,18 @@ def check_garbage_unreachable(result: BalancedResult) -> bool:
     if any(isinstance(v, Loc) and v.id in garbage for v in result.values):
         return False
 
-    def scan(t: Trace) -> bool:
-        for a in iter_chain(t):
+    todo = [result.trace]
+    while todo:
+        t = todo.pop()
+        while t is not None:
+            a, t = t
             if any(loc.id in garbage for loc in _locs_of_action(a)):
                 return False
-            if isinstance(a, TPush) and not scan(a.sub):
-                return False
-        return True
-
-    if not scan(result.trace):
-        return False
-    live = result.store.non_garbage()
-    for _, v in live.cells.items():
-        if isinstance(v, Loc) and v.id in garbage:
-            return False
-    return True
+            if type(a) is TPush:
+                todo.append(a.sub)
+    # Garbage locations have no cells (`Store.mark_garbage` drops them).
+    return not any(isinstance(v, Loc) and v.id in garbage
+                   for v in result.store.cells.values())
 
 
 # -- canonical comparison -----------------------------------------------------
@@ -549,55 +547,59 @@ def canonicalize(values, trace: Trace, store: Store,
                  initial_store: Store | None = None):
     """Rename run-minted locations by first occurrence so results that differ
     only in allocator choices compare equal.  Locations of the shared initial
-    store map to themselves."""
-    fixed: set[int] = set()
+    store map to themselves.
+
+    Returns (values, trace, store items).  The trace is one flat tuple in
+    pre-order, each push's contents between "(" and ")"; the items are the
+    store's live cells sorted on their canonical (location, offset)."""
+    mapping: dict[int, tuple] = {}
     if initial_store is not None:
-        fixed = set(initial_store.sizes) | set(initial_store.garbage)
-    mapping: dict[int, object] = {}
+        for i in (*initial_store.sizes, *initial_store.garbage):
+            mapping[i] = ("i", i)
+    fixed = len(mapping)
 
-    def canon_loc(loc: Loc):
-        if loc.id in fixed:
-            return ("i", loc.id)
-        if loc.id not in mapping:
-            mapping[loc.id] = ("c", len(mapping))
-        return mapping[loc.id]
+    def loc(i: int) -> tuple:
+        c = mapping.get(i)
+        if c is None:
+            c = mapping[i] = ("c", len(mapping) - fixed)
+        return c
 
-    def canon_val(v):
-        return canon_loc(v) if isinstance(v, Loc) else v
+    def val(v):
+        return loc(v.id) if type(v) is Loc else v
 
-    def canon_action(a):
-        if isinstance(a, TAlloc):
-            return ("A", canon_loc(a.loc), a.size)
-        if isinstance(a, TRead):
-            return ("R", canon_val(a.val), canon_loc(a.loc), a.off)
-        if isinstance(a, TWrite):
-            return ("W", canon_val(a.val), canon_loc(a.loc), a.off)
-        if isinstance(a, TMemo):
-            return ("M", a.eid, tuple((k, canon_val(v)) for k, v in a.env))
-        if isinstance(a, TUpdate):
-            return ("U", a.eid, tuple((k, canon_val(v)) for k, v in a.env))
-        if isinstance(a, TPop):
-            return ("P", tuple(canon_val(v) for v in a.vals))
-        raise TypeError(f"not an atomic action: {a!r}")
-
-    def canon_trace(t: Trace) -> tuple:
-        out = []
-        for a in iter_chain(t):
-            if isinstance(a, TPush):
-                out.append(("(",) + canon_trace(a.sub) + (")",))
+    out: list = []
+    todo: list[Trace] = []
+    t = trace
+    while True:
+        while t is not None:
+            a, t = t
+            k = type(a)
+            if k is TRead:
+                out.append(("R", val(a.val), loc(a.loc.id), a.off))
+            elif k is TWrite:
+                out.append(("W", val(a.val), loc(a.loc.id), a.off))
+            elif k is TAlloc:
+                out.append(("A", loc(a.loc.id), a.size))
+            elif k is TPush:
+                out.append("(")
+                todo.append(t)
+                t = a.sub
+            elif k is TMemo or k is TUpdate:
+                out.append(("M" if k is TMemo else "U", a.eid,
+                            tuple([(x, val(v)) for x, v in a.env])))
+            elif k is TPop:
+                out.append(("P", tuple([val(v) for v in a.vals])))
             else:
-                out.append(canon_action(a))
-        return tuple(out)
-
-    ct = canon_trace(trace)
-    cv = tuple(canon_val(v) for v in values)
-    live_store = store.non_garbage()
-    items = []
-    for (lid, off), v in live_store.entries():
-        items.append((canon_loc(Loc(lid)), off,
-                      "⊥" if v is UNINIT else canon_val(v)))
-    items.sort(key=repr)
-    return (cv, ct, tuple(items))
+                raise TypeError(f"not an atomic action: {a!r}")
+        if not todo:
+            break
+        out.append(")")
+        t = todo.pop()
+    cv = tuple([val(v) for v in values])
+    items = [(loc(lid), off, "⊥" if v is UNINIT else val(v))
+             for (lid, off), v in store.entries()]
+    items.sort(key=itemgetter(0, 1))
+    return (cv, tuple(out), tuple(items))
 
 
 def canonical_result(result: BalancedResult,

@@ -1,17 +1,8 @@
 import pytest
 
 from sasm.corpus import corpus_benchmarks
-from sasm.tracing import canonicalize
 
 
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_benchmarks()
-
-
-def canon(values, trace, store, initial):
-    return canonicalize(values, trace, store, initial)
-
-
-def realized_of(log):
-    return sum(1 for t in log if t[0] in "EU")

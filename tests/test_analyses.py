@@ -1,5 +1,7 @@
 """Live-variable and update-reachability analyses."""
 
+from sasm import analyses
+from sasm import ilast as A
 from sasm.analyses import live_vars, region_no_update
 from sasm.corpus import (exptrees_fixture, gen_array_max, apply_edits, Edit,
                          corpus_benchmarks)
@@ -7,6 +9,8 @@ from sasm.dps import dps_convert_program
 from sasm.fuzz import gen_program, gen_edits
 from sasm.ilast import Memo, Push, Update, walk_program
 from sasm.parser import parse_program
+from sasm.refmachine import ref_run
+from sasm.store import Store
 from sasm.tracing import Policy, propagate, run_from_scratch
 
 
@@ -185,3 +189,101 @@ def test_saved_names_are_the_sorted_live_variables():
                 frozenset(names & live.fn_names))
             checked += 1
     assert checked > 1000
+
+
+# The recursive definitions that `live_vars` and `expr_reaches_update`
+# replaced, kept as references for the loop-based ones.
+def _live_vars_recursive(prog):
+    from sasm.analyses import LiveSet, _inst_vars, _vals_vars
+    funs = prog.fun_index()
+    fns = frozenset(funs)
+    needs = {f: frozenset() for f in funs}
+    saved = {}
+
+    def live_of(e, record):
+        if isinstance(e, A.FunDef):
+            out = live_of(e.cont, record) - {e.fname}
+        elif isinstance(e, A.PrimOp):
+            out = frozenset(_vals_vars(e.args)) | (live_of(e.cont, record) - {e.var})
+        elif isinstance(e, A.If):
+            out = {e.cond} | live_of(e.then, record) | live_of(e.els, record)
+            out = frozenset(out)
+        elif isinstance(e, A.App):
+            out = (frozenset({e.fname}) | frozenset(_vals_vars(e.args))
+                   | needs.get(e.fname, frozenset()))
+        elif isinstance(e, A.Inst):
+            out = frozenset(_inst_vars(e.inst)) | (live_of(e.cont, record) - {e.var})
+        elif isinstance(e, (A.Memo, A.Update)):
+            out = live_of(e.body, record)
+            if record is not None:
+                saved[e.eid] = (tuple(sorted(out - fns)), out & fns)
+        elif isinstance(e, A.Push):
+            out = (frozenset({e.fname}) | needs.get(e.fname, frozenset())
+                   | live_of(e.body, record))
+        elif isinstance(e, A.Pop):
+            out = frozenset(_vals_vars(e.vals))
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        if record is not None:
+            record[e.eid] = out
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for name, fdef in funs.items():
+            n = live_of(fdef.body, None) - set(fdef.params)
+            if n != needs[name]:
+                needs[name] = n
+                changed = True
+
+    record = {}
+    for fdef in funs.values():
+        live_of(fdef.body, record)
+        record[fdef.eid] = needs[fdef.fname]
+    live_of(prog.entry, record)
+    return LiveSet(record, fns, saved)
+
+
+def _reaches_update_recursive(e, fn_reaches):
+    if isinstance(e, A.Update):
+        return True
+    if isinstance(e, (A.FunDef, A.PrimOp, A.Inst)):
+        return _reaches_update_recursive(e.cont, fn_reaches)
+    if isinstance(e, A.If):
+        return (_reaches_update_recursive(e.then, fn_reaches)
+                or _reaches_update_recursive(e.els, fn_reaches))
+    if isinstance(e, A.App):
+        return fn_reaches.get(e.fname, False)
+    if isinstance(e, A.Memo):
+        return _reaches_update_recursive(e.body, fn_reaches)
+    if isinstance(e, A.Push):
+        return (_reaches_update_recursive(e.body, fn_reaches)
+                or fn_reaches.get(e.fname, False))
+    if isinstance(e, A.Pop):
+        return False
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def test_long_straight_line_programs_analyse_without_recursion(monkeypatch):
+    """The array builder at n=1024 is one let chain of over 1,024 links,
+    past Python's recursion limit; the analyses and a tracing run handle
+    it, and on the corpus and fuzz seeds 0..199 both analyses equal their
+    recursive definitions."""
+    bench = gen_array_max(1024, "b")
+    assert len(live_vars(bench.builder).live) > 1024
+    t = run_from_scratch(bench.builder, Store())
+    assert t.values == ref_run(bench.builder, Store()).values
+
+    progs = []
+    for b in corpus_benchmarks():
+        progs += [b.program, b.builder, dps_convert_program(b.program)]
+    for seed in range(200):
+        case = gen_program(seed)
+        progs += [case.program, dps_convert_program(case.program)]
+    infos = [(live_vars(p), region_no_update(p)) for p in progs]
+    monkeypatch.setattr(analyses, "expr_reaches_update",
+                        _reaches_update_recursive)
+    for p, (live, info) in zip(progs, infos):
+        assert live == _live_vars_recursive(p)
+        assert info == region_no_update(p)

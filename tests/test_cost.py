@@ -1,16 +1,18 @@
 """Cost models: folds, machine equivalences, conversion overhead bounds."""
 
+import random
+
 import pytest
 
-from sasm.corpus import exptrees_fixture, gen_list
-from sasm.cost import (BoundViolated, M_STACK, M_STEPS, M_STORE, M_TRACING,
-                       UnknownTag, check_dps_overhead, cost_apply,
-                       cost_vector, max_pop_arity)
+from sasm.corpus import apply_edits, exptrees_fixture, gen_list
+from sasm.cost import (ALL_TAGS, BoundViolated, CostVector, M_STACK, M_STEPS,
+                       M_STORE, M_TRACING, UnknownTag, check_dps_overhead,
+                       cost_apply, cost_of_run, cost_vector, max_pop_arity)
 from sasm.dps import dps_convert_program
-from sasm.fuzz import gen_program
+from sasm.fuzz import gen_edits, gen_program
 from sasm.parser import parse_program
 from sasm.refmachine import ref_run
-from sasm.tracing import run_from_scratch
+from sasm.tracing import propagate, run_from_scratch
 
 
 def test_stack_model_push_from_zero():
@@ -118,7 +120,6 @@ def test_dps_overhead_bound_violation_detected():
 
 
 def test_clean_propagate_realized_zero(corpus):
-    from sasm.tracing import propagate
     for bench in corpus:
         store, labels, inputs = bench.build()
         t1 = run_from_scratch(bench.program, store.copy(), inputs=inputs)
@@ -129,3 +130,48 @@ def test_clean_propagate_realized_zero(corpus):
 def test_max_pop_arity():
     assert max_pop_arity(exptrees_fixture().program) == 1
     assert max_pop_arity(gen_list("sum", 8, 1).program) == 0
+
+
+def _folds(log):
+    return CostVector(cost_of_run(log, M_STEPS), cost_of_run(log, M_STORE),
+                      cost_of_run(log, M_STACK), cost_of_run(log, M_TRACING))
+
+
+def test_cost_vector_equals_the_folds(corpus):
+    """cost_vector counts each log once; the four folds define it.  Checked
+    on the corpus's reference, from-scratch and propagation logs and on 500
+    random tag sequences, among them the empty log and logs whose stack
+    height goes negative."""
+    logs = []
+    for bench in corpus:
+        store, labels, inputs = bench.build()
+        edited = store.copy()
+        if bench.edit_slots:
+            apply_edits(edited, labels,
+                        gen_edits(5, edited, labels, bench.edit_slots, 2))
+        dp = dps_convert_program(bench.program)
+        for prog, s2 in ((bench.program, store), (dp, edited)):
+            r = ref_run(prog, store.copy(), inputs=inputs)
+            t1 = run_from_scratch(prog, store.copy(), inputs=inputs)
+            t2 = propagate(prog, t1.trace, s2.copy())
+            logs += [r.log, t1.log, t2.log]
+    assert any(t[0] == "U" for log in logs for t in log)
+
+    tags = sorted(ALL_TAGS) + ["R.9", "R.11", "E.6", "E.8"] * 4
+    negative = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        log = rng.choices(tags, k=rng.randrange(40) if seed else 0)
+        logs.append(log)
+        negative += _folds(log).stack[2] < 0
+    assert negative > 0
+
+    for log in logs:
+        assert cost_vector(log) == _folds(log)
+        assert cost_vector(iter(log)) == _folds(log)
+
+
+def test_cost_vector_names_the_first_unknown_tag():
+    with pytest.raises(UnknownTag) as exc:
+        cost_vector(["E.1", "Q.1", "R.9", "Z.2"])
+    assert exc.value.args == ("Q.1",)

@@ -9,8 +9,9 @@ from sasm.parser import parse_program
 from sasm.store import Loc, Store
 from sasm.trace import (Blocked, PUSH_MARK, PropMark, TAlloc, TPop, TPush,
                         TRead, TWrite, TraceZipper, UndoMark, action_count,
-                        check_okay, ctx_action_count, dump, from_list,
-                        last_action, rewind_step, rewind_to_mark, to_list)
+                        check_okay, ctx_action_count, dump, dump_lines,
+                        from_list, last_action, rewind_step, rewind_to_mark,
+                        to_list)
 from sasm.tracing import propagate, propagation_machine, run_from_scratch
 
 
@@ -342,3 +343,41 @@ def test_dump_format_shape(corpus):
         assert line == "  " * depth + stripped, line
         if stripped == "(":
             depth += 1
+
+
+def test_deep_traces_walk_without_recursion():
+    """A trace nested 3,000 pushes deep (past Python's recursion limit) is
+    counted, dumped, canonicalized and scanned for garbage."""
+    depth = 3000
+    store = Store()
+    live, dead = store.alloc(1), store.alloc(1)
+    store.write(live, 1, 0)
+    store.mark_garbage(dead)
+
+    def nested(innermost):
+        t = from_list([innermost, TPop((live,))])
+        for i in range(depth):
+            t = from_list([TWrite(i, live, 1), TPush(t), TPop(())])
+        return t
+
+    t = nested(TRead(0, live, 1))
+    atomic = 2 + 2 * depth
+    assert action_count(t) == atomic
+    assert ctx_action_count((UndoMark(t), (TPush(t), None))) == 2 * atomic
+
+    lines = dump_lines(t)
+    assert len(lines) == atomic + 2 * depth
+    assert lines[:3] == [f"W {depth - 1} ℓ1 1", "(", f"  W {depth - 2} ℓ1 1"]
+    assert lines[depth * 2] == "  " * depth + "R 0 ℓ1 1"
+    assert lines[-2:] == [")", "P ⟨⟩"]
+
+    cv, ct, items = tracing.canonicalize((live,), t, store, store)
+    assert cv == (("i", live.id),)
+    assert len(ct) == atomic + 2 * depth
+    assert ct[depth * 2] == ("R", 0, ("i", live.id), 1)
+    assert items == ((("i", live.id), 1, 0),)
+
+    result = tracing.BalancedResult((live,), store, t, [])
+    assert tracing.check_garbage_unreachable(result)
+    result.trace = nested(TRead(dead, live, 1))
+    assert not tracing.check_garbage_unreachable(result)

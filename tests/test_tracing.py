@@ -2,16 +2,17 @@
 
 import pytest
 
-from sasm.corpus import (Edit, apply_edits, deref_result, exptrees_fixture,
-                         gen_array_max)
+from sasm.corpus import (Edit, apply_edits, corpus_benchmarks, deref_result,
+                         exptrees_fixture, gen_array_max)
 from sasm.dps import dps_convert_program
 from sasm.errors import Stuck
-from sasm.fuzz import gen_edits
+from sasm.fuzz import gen_edits, gen_program
 from sasm.parser import parse_program
 from sasm.refmachine import Values, ref_run, ref_step, RefConfig
-from sasm.store import Loc, Store
-from sasm.trace import (PUSH_MARK, TAlloc, TPop, TPush, from_list,
-                        iter_chain, last_action, to_list)
+from sasm.store import Loc, Store, UNINIT
+from sasm.trace import (PUSH_MARK, TAlloc, TMemo, TPop, TPush, TRead,
+                        TUpdate, TWrite, from_list, iter_chain, last_action,
+                        to_list)
 from sasm.tracing import (EVAL_TAGS, PROP, BoundExceeded, Policy,
                           TracingMachine, canonical_result, canonicalize,
                           check_garbage_unreachable, enumerate_schedules,
@@ -391,3 +392,188 @@ arity 1
     with pytest.raises(Stuck) as exc:
         propagate(p, t1.trace, s2)
     assert exc.value.family == "P.2"
+
+
+# -- canonical comparison ---------------------------------------------------
+
+
+def _canonicalize_reference(values, trace, store, initial_store=None):
+    """The recursive definition the flat `canonicalize` replaced: nested
+    tuples per push, store items sorted by repr."""
+    fixed = set()
+    if initial_store is not None:
+        fixed = set(initial_store.sizes) | set(initial_store.garbage)
+    mapping = {}
+
+    def canon_loc(loc):
+        if loc.id in fixed:
+            return ("i", loc.id)
+        if loc.id not in mapping:
+            mapping[loc.id] = ("c", len(mapping))
+        return mapping[loc.id]
+
+    def canon_val(v):
+        return canon_loc(v) if isinstance(v, Loc) else v
+
+    def canon_action(a):
+        if isinstance(a, TAlloc):
+            return ("A", canon_loc(a.loc), a.size)
+        if isinstance(a, TRead):
+            return ("R", canon_val(a.val), canon_loc(a.loc), a.off)
+        if isinstance(a, TWrite):
+            return ("W", canon_val(a.val), canon_loc(a.loc), a.off)
+        if isinstance(a, TMemo):
+            return ("M", a.eid, tuple((k, canon_val(v)) for k, v in a.env))
+        if isinstance(a, TUpdate):
+            return ("U", a.eid, tuple((k, canon_val(v)) for k, v in a.env))
+        if isinstance(a, TPop):
+            return ("P", tuple(canon_val(v) for v in a.vals))
+        raise TypeError(f"not an atomic action: {a!r}")
+
+    def canon_trace(t):
+        out = []
+        for a in iter_chain(t):
+            if isinstance(a, TPush):
+                out.append(("(",) + canon_trace(a.sub) + (")",))
+            else:
+                out.append(canon_action(a))
+        return tuple(out)
+
+    ct = canon_trace(trace)
+    cv = tuple(canon_val(v) for v in values)
+    items = []
+    for (lid, off), v in store.non_garbage().entries():
+        items.append((canon_loc(Loc(lid)), off,
+                      "⊥" if v is UNINIT else canon_val(v)))
+    items.sort(key=repr)
+    return (cv, ct, tuple(items))
+
+
+class _BothCanonical:
+    """A result canonicalized both ways; comparing two of them checks that
+    both definitions give the same verdict and records it."""
+
+    verdicts: list = []
+
+    def __init__(self, values, trace, store, initial_store=None):
+        args = (values, trace, store, initial_store)
+        self.new = canonicalize(*args)
+        self.ref = _canonicalize_reference(*args)
+
+    def __eq__(self, other):
+        verdict = self.new == other.new
+        assert verdict == (self.ref == other.ref)
+        self.verdicts.append(verdict)
+        return verdict
+
+
+def test_canonicalize_agrees_with_its_reference_on_the_battery(monkeypatch):
+    """Every pair `cli.battery` compares gets the same verdict from the flat
+    and the recursive canonical forms, on the corpus and fuzz seeds 0..199."""
+    from sasm import cli
+    monkeypatch.setattr(cli, "canonicalize", _BothCanonical)
+    monkeypatch.setattr(cli, "canonical_result", lambda r, initial: (
+        _BothCanonical(r.values, r.trace, r.store, initial)))
+    monkeypatch.setattr(_BothCanonical, "verdicts", [])
+    cases = []
+    for bench in corpus_benchmarks():
+        store, labels, inputs = bench.build()
+        edits = (gen_edits(3, store, labels, bench.edit_slots, 2)
+                 if bench.edit_slots else bench.fixture_edits.get("lower", []))
+        cases.append((bench.program, store, labels, inputs, edits))
+    for seed in range(200):
+        case = gen_program(seed)
+        store, labels, inputs = case.build()
+        edits = gen_edits(seed + 1, store, labels, case.edit_slots, 2)
+        cases.append((case.program, store, labels, inputs, edits))
+    for prog, store, labels, inputs, edits in cases:
+        for name, ok, detail in cli.battery(prog, store, labels, inputs,
+                                            edits, 400_000):
+            assert ok, (name, detail)
+    assert len(_BothCanonical.verdicts) == 3 * len(cases)
+
+
+def _relocated(t, f):
+    """The trace `t` with every location mapped through `f`."""
+    def val(v):
+        return f(v) if isinstance(v, Loc) else v
+
+    def action(a):
+        if isinstance(a, TPush):
+            return TPush(_relocated(a.sub, f))
+        if isinstance(a, TAlloc):
+            return TAlloc(f(a.loc), a.size)
+        if isinstance(a, (TRead, TWrite)):
+            return type(a)(val(a.val), f(a.loc), a.off)
+        if isinstance(a, TMemo):
+            return TMemo(a.eid, tuple((k, val(v)) for k, v in a.env))
+        if isinstance(a, TUpdate):
+            return TUpdate(a.eid, tuple((k, val(v)) for k, v in a.env),
+                           a.expr, a.fnames)
+        return TPop(tuple(val(v) for v in a.vals))
+    return from_list([action(a) for a in iter_chain(t)])
+
+
+def test_canonicalize_mutants_compare_unequal():
+    """Mutants of a propagated result compare unequal to it under both
+    definitions, and a renaming of its minted locations compares equal."""
+    bench = exptrees_fixture()
+    prog = dps_convert_program(bench.program)
+    store, labels, inputs = bench.build()
+    t1 = run_from_scratch(prog, store.copy(), inputs=inputs)
+    s2 = store.copy()
+    apply_edits(s2, labels, bench.fixture_edits["lower"])
+    r = propagate(prog, t1.trace, s2.copy())
+    base = (r.values, r.trace, r.store)
+
+    minted = sorted(lid for lid in r.store.sizes if lid not in s2.sizes)
+    fixed = next(lid for lid in s2.sizes
+                 if any(isinstance(a, TRead) and a.loc.id == lid
+                        for a in iter_chain(r.trace)))
+    assert len(minted) >= 2
+    top = max(r.store.sizes) + 1
+
+    cell = next(k for k, v in r.store.cells.items() if type(v) is int)
+    changed_store = r.store.copy()
+    changed_store.cells[cell] += 1
+    changed_value = tuple(v + 1 if type(v) is int else Loc(top)
+                          for v in r.values)
+    actions = to_list(r.trace)
+    k = next(i for i in range(len(actions) - 1)
+             if isinstance(actions[i + 1], TPush)
+             and not isinstance(actions[i], TPush))
+    moved = from_list(actions[:k] + [TPush((actions[k], actions[k + 1].sub))]
+                      + actions[k + 2:])
+
+    def merged(loc):
+        return Loc(minted[0]) if loc.id == minted[1] else loc
+
+    def unfixed(loc):
+        return Loc(top) if loc.id == fixed else loc
+
+    mutants = {
+        "store cell": (r.values, r.trace, changed_store),
+        "value": (changed_value, r.trace, r.store),
+        "across a push": (r.values, moved, r.store),
+        "minted merged": (r.values, _relocated(r.trace, merged), r.store),
+        "fixed to minted": (r.values, _relocated(r.trace, unfixed), r.store),
+    }
+    for name, mutant in mutants.items():
+        assert canonicalize(*base, s2) != canonicalize(*mutant, s2), name
+        assert _canonicalize_reference(*base, s2) != \
+            _canonicalize_reference(*mutant, s2), name
+
+    # Renaming the minted locations, in reverse order, changes nothing.
+    renamed = {lid: Loc(top + i) for i, lid in enumerate(reversed(minted))}
+
+    def rename(v):
+        return renamed.get(v.id, v) if isinstance(v, Loc) else v
+
+    store_renamed = Store()
+    store_renamed.cells = {(rename(Loc(lid)).id, off): rename(v)
+                           for (lid, off), v in r.store.cells.items()}
+    same = (tuple(rename(v) for v in r.values),
+            _relocated(r.trace, rename), store_renamed)
+    assert canonicalize(*base, s2) == canonicalize(*same, s2)
+    assert _canonicalize_reference(*base, s2) == \
+        _canonicalize_reference(*same, s2)
