@@ -31,10 +31,6 @@ def _inst_vars(inst: A.Instruction) -> set[str]:
     return _vals_vars((inst.loc, inst.off, inst.val))
 
 
-# The let forms: each binds a name (or a function) and goes on to `cont`.
-_LETS = (A.FunDef, A.PrimOp, A.Inst)
-
-
 @dataclass
 class LiveSet:
     """Per-expression-id live names (variables and function names), and for
@@ -63,7 +59,7 @@ def live_vars(prog: A.Program) -> LiveSet:
         # its first other expression, then folded back, so a long
         # straight-line program does not recurse once per let.
         chain = []
-        while isinstance(e, _LETS):
+        while isinstance(e, A.LETS):
             chain.append(e)
             e = e.cont
         if isinstance(e, A.If):
@@ -113,6 +109,16 @@ def live_vars(prog: A.Program) -> LiveSet:
     return LiveSet(record, fns, saved)
 
 
+def step_data(prog: A.Program) -> tuple[dict[str, A.FunDef], LiveSet]:
+    """The function index and live sets every engine steps `prog` with,
+    computed on first use and stored on the program (`number_exprs` clears
+    them).  Every run of the program shares them, so no caller may mutate
+    them."""
+    if prog.step_data is None:
+        prog.step_data = (prog.fun_index(), live_vars(prog))
+    return prog.step_data
+
+
 @dataclass
 class RegionUpdateInfo:
     """Which push-body regions can reach an update point."""
@@ -125,7 +131,7 @@ class RegionUpdateInfo:
 
 
 def expr_reaches_update(e: A.Expr, fn_reaches: dict[str, bool]) -> bool:
-    while isinstance(e, _LETS):
+    while isinstance(e, A.LETS):
         e = e.cont
     if isinstance(e, A.Update):
         return True
@@ -169,5 +175,5 @@ def region_no_update(prog: A.Program) -> RegionUpdateInfo:
     return RegionUpdateInfo(push_reaches, fn_reaches)
 
 
-__all__ = ["LiveSet", "RegionUpdateInfo", "live_vars", "region_no_update",
-           "expr_reaches_update"]
+__all__ = ["LiveSet", "RegionUpdateInfo", "live_vars", "step_data",
+           "region_no_update", "expr_reaches_update"]

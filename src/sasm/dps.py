@@ -22,7 +22,7 @@ reach an update point, the program is returned unchanged.
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import ilast as A
 from .analyses import expr_reaches_update, region_no_update
@@ -79,33 +79,36 @@ class DpsContext:
 def dps_convert(e: A.Expr | None, dest: str | None,
                 ctx: DpsContext) -> A.Expr | None:
     """Convert one expression against a destination variable (None, the
-    continuation of a top-level definition, stays None)."""
-    if e is None:
-        return None
-    if isinstance(e, A.FunDef):
-        if e.fname in ctx.plain_funs:
-            params, body = e.params, deepcopy(e.body)
+    continuation of a top-level definition, stays None).  A let chain is
+    converted link by link in a loop, so a long straight-line program does
+    not recurse once per let."""
+    links: list[A.Expr] = []
+    while isinstance(e, A.LETS):
+        if isinstance(e, A.FunDef):
+            if e.fname in ctx.plain_funs:
+                params, body = e.params, A.copy_expr(e.body)
+            else:
+                z = ctx.fresh_dest()
+                params, body = e.params + (z,), dps_convert(e.body, z, ctx)
+            links.append(A.FunDef(fname=e.fname, params=params, body=body,
+                                  pos=e.pos))
+        elif isinstance(e, A.PrimOp):
+            links.append(A.PrimOp(var=e.var, op=e.op, args=e.args, pos=e.pos))
         else:
-            z = ctx.fresh_dest()
-            params, body = e.params + (z,), dps_convert(e.body, z, ctx)
-        return A.FunDef(fname=e.fname, params=params, body=body,
-                        cont=dps_convert(e.cont, dest, ctx), pos=e.pos)
-    if isinstance(e, A.PrimOp):
-        return A.PrimOp(var=e.var, op=e.op, args=e.args,
-                        cont=dps_convert(e.cont, dest, ctx), pos=e.pos)
-    if isinstance(e, A.If):
-        return A.If(cond=e.cond, then=dps_convert(e.then, dest, ctx),
-                    els=dps_convert(e.els, dest, ctx), pos=e.pos)
-    if isinstance(e, A.App):
-        return A.App(fname=e.fname, args=e.args + (dest,), pos=e.pos)
-    if isinstance(e, A.Inst):
-        return A.Inst(var=e.var, inst=deepcopy(e.inst),
-                      cont=dps_convert(e.cont, dest, ctx), pos=e.pos)
-    if isinstance(e, A.Memo):
-        return A.Memo(body=dps_convert(e.body, dest, ctx), pos=e.pos)
-    if isinstance(e, A.Update):
-        return A.Update(body=dps_convert(e.body, dest, ctx), pos=e.pos)
-    if isinstance(e, A.Push):
+            links.append(A.Inst(var=e.var, inst=deepcopy(e.inst), pos=e.pos))
+        e = e.cont
+    if e is None:
+        out = None
+    elif isinstance(e, A.If):
+        out = A.If(cond=e.cond, then=dps_convert(e.then, dest, ctx),
+                   els=dps_convert(e.els, dest, ctx), pos=e.pos)
+    elif isinstance(e, A.App):
+        out = A.App(fname=e.fname, args=e.args + (dest,), pos=e.pos)
+    elif isinstance(e, A.Memo):
+        out = A.Memo(body=dps_convert(e.body, dest, ctx), pos=e.pos)
+    elif isinstance(e, A.Update):
+        out = A.Update(body=dps_convert(e.body, dest, ctx), pos=e.pos)
+    elif isinstance(e, A.Push):
         if e.fname not in ctx.arity:
             raise UnknownArity(f"pushed function {e.fname!r} has no arity entry")
         n = ctx.arity[e.fname]
@@ -114,36 +117,40 @@ def dps_convert(e: A.Expr | None, dest: str | None,
             # wrapper forwards the popped values plus the ambient destination.
             w = ctx.fresh(f"{e.fname}$sel")
             params = tuple(ctx.fresh(f"{w}$x{i}") for i in range(1, n + 1))
-            wrapper = A.FunDef(
+            out = A.FunDef(
                 fname=w, params=params,
                 body=A.App(fname=e.fname, args=params + (dest,)),
-                cont=A.Push(fname=w, body=deepcopy(e.body), pos=e.pos),
+                cont=A.Push(fname=w, body=A.copy_expr(e.body), pos=e.pos),
                 pos=e.pos)
-            return wrapper
-        w = ctx.fresh(f"{e.fname}$dps")
-        zr = ctx.fresh(f"{w}$z")
-        zb = ctx.fresh_dest()
-        xs = tuple(ctx.fresh(f"{w}$x{i}") for i in range(1, n + 1))
-        # Wrapper: update; read the destination entries; call the function.
-        body: A.Expr = A.App(fname=e.fname, args=xs + (dest,))
-        for i in range(n, 0, -1):
-            body = A.Inst(var=xs[i - 1], inst=A.Read(loc=zr, off=i), cont=body)
-        wrapper_body = A.Update(body=body)
-        pushed = A.Push(
-            fname=w,
-            body=A.Memo(body=A.Inst(var=zb, inst=A.Alloc(size=n),
-                                    cont=dps_convert(e.body, zb, ctx))),
-            pos=e.pos)
-        return A.FunDef(fname=w, params=(zr,), body=wrapper_body, cont=pushed,
-                        pos=e.pos)
-    if isinstance(e, A.Pop):
-        out: A.Expr = A.Pop(vals=(dest,), pos=e.pos)
+        else:
+            w = ctx.fresh(f"{e.fname}$dps")
+            zr = ctx.fresh(f"{w}$z")
+            zb = ctx.fresh_dest()
+            xs = tuple(ctx.fresh(f"{w}$x{i}") for i in range(1, n + 1))
+            # Wrapper: update; read the destination entries; call e.fname.
+            body: A.Expr = A.App(fname=e.fname, args=xs + (dest,))
+            for i in range(n, 0, -1):
+                body = A.Inst(var=xs[i - 1], inst=A.Read(loc=zr, off=i),
+                              cont=body)
+            pushed = A.Push(
+                fname=w,
+                body=A.Memo(body=A.Inst(var=zb, inst=A.Alloc(size=n),
+                                        cont=dps_convert(e.body, zb, ctx))),
+                pos=e.pos)
+            out = A.FunDef(fname=w, params=(zr,), body=A.Update(body=body),
+                           cont=pushed, pos=e.pos)
+    elif isinstance(e, A.Pop):
+        out = A.Pop(vals=(dest,), pos=e.pos)
         for i in range(len(e.vals), 0, -1):
             v = ctx.fresh(f"w${i}")
             out = A.Inst(var=v, inst=A.Write(loc=dest, off=i, val=e.vals[i - 1]),
                          cont=out)
-        return out
-    raise TypeError(f"not an expression: {e!r}")
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    for link in reversed(links):
+        link.cont = out
+        out = link
+    return out
 
 
 def dps_convert_env(defs: list[A.FunDef], ctx: DpsContext) -> list[A.FunDef]:
@@ -189,9 +196,9 @@ def dps_selective(prog: A.Program) -> A.Program:
     info = region_no_update(prog)
     if not expr_reaches_update(prog.entry, info.fn_reaches) and not any(
             info.fn_reaches.values()):
-        out = deepcopy(prog)
-        A.number_exprs(out)
-        return out
+        return A.number_exprs(replace(
+            prog, defs=[A.copy_expr(d) for d in prog.defs],
+            entry=A.copy_expr(prog.entry)))
 
     funs = prog.fun_index()
 

@@ -11,6 +11,7 @@ Nodes use identity equality (they carry positions and stable ids); use
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -134,6 +135,10 @@ class Pop(Expr):
     vals: tuple[Value, ...] = ()
 
 
+# The let forms: each binds a name (or a function) and goes on to `cont`.
+LETS = (FunDef, PrimOp, Inst)
+
+
 @dataclass(eq=False)
 class Program:
     """Top-level function definitions, an entry expression and the declared
@@ -149,6 +154,8 @@ class Program:
     inputs: tuple[str, ...] = ()
     labels: tuple[str, ...] = ()
     dps_marker: bool = False
+    # (fun_index, LiveSet), stored by analyses.step_data; see number_exprs.
+    step_data: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def fun_index(self) -> dict[str, FunDef]:
         """Map every function name (at any nesting depth) to its definition."""
@@ -194,12 +201,23 @@ def walk_program(p: Program) -> Iterator[Expr]:
 
 
 def number_exprs(p: Program) -> Program:
-    """Assign stable pre-order expression ids.  Mutates in place, returns p."""
+    """Assign stable pre-order expression ids and drop the stored step data.
+    Mutates in place, returns p.  Every producer of a program calls it after
+    building or editing one."""
     n = 0
     for e in walk_program(p):
         e.eid = n
         n += 1
+    p.step_data = None
     return p
+
+
+def copy_expr(e: Expr) -> Expr:
+    """deepcopy(e), bottom-up so that a let chain does not recurse."""
+    memo: dict = {}
+    for sub in reversed(list(walk(e))):
+        deepcopy(sub, memo)
+    return deepcopy(e, memo)
 
 
 def ast_equal(a, b) -> bool:

@@ -22,6 +22,7 @@ binding checks beyond that are left to check_wf.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ilast import (
@@ -44,7 +45,14 @@ KEYWORDS = {
     "arity", "input", "labels",
 }
 
-_PUNCT = "(){},="
+# Blanks, then a word, punctuation, an ASCII integer, a newline, a comment,
+# or any other non-blank character (left to `_unusual`, as is an integer
+# before a non-ASCII character, which str.isdigit may call a digit).  `\w`
+# is str.isalnum plus "_".
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    ([A-Za-z_][\w'$]*) | ([(){},=]) | (-?[0-9]+)(?![0-9]|[^\x00-\x7f])
+  | (\n) | (;.*) | ([^ \t\r]))""", re.VERBOSE)
+_WORD_REST = re.compile(r"[\w'$]*")
 
 
 @dataclass
@@ -55,51 +63,48 @@ class Token:
     col: int
 
 
+def _unusual(src: str, i: int, line: int, col: int) -> tuple[Token, int]:
+    """The token at src[i] by str.isdigit and str.isalpha, and its end;
+    ParseError if none starts there."""
+    c, j = src[i], i + 1
+    if c.isdigit() or (c == "-" and src[j:j + 1].isdigit()):
+        while j < len(src) and src[j].isdigit():
+            j += 1
+        return Token("int", src[i:j], line, col), j
+    if c.isalpha():
+        j = _WORD_REST.match(src, j).end()
+        kind = "kw" if src[i:j] in KEYWORDS else "ident"
+        return Token(kind, src[i:j], line, col), j
+    raise ParseError(f"unexpected character {c!r}", line, col)
+
+
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isdigit() or (c == "-" and i + 1 < n and src[i + 1].isdigit()):
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'$"):
-                j += 1
-            word = src[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            toks.append(Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    line, bol = 1, 0  # bol: where the current line begins
+    pos = 0
+    while pos is not None:
+        for m in _TOKEN.finditer(src, pos):
+            k = m.lastindex
+            col = m.start(k) - bol + 1
+            if k == 1:
+                toks.append(Token("kw" if m[1] in KEYWORDS else "ident", m[1],
+                                  line, col))
+            elif k == 2:
+                toks.append(Token(m[2], m[2], line, col))
+            elif k == 3:
+                toks.append(Token("int", m[3], line, col))
+            elif k == 4:
+                line, bol = line + 1, m.end()
+            elif k == 6:
+                tok, pos = _unusual(src, m.start(k), line, col)
+                toks.append(tok)
+                break
+        else:
+            pos = None
+    # A comment at the end leaves the eof column at its ';'.
+    end = src.find(";", bol)
+    toks.append(Token("eof", "", line,
+                      (len(src) if end < 0 else end) - bol + 1))
     return toks
 
 

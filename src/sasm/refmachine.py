@@ -95,12 +95,13 @@ TERMINATED = "terminated"
 
 
 def _fundef(env: dict, e: A.FunDef):  # R.1
-    return "R.1", {**env, e.fname: e}, e.cont
+    env[e.fname] = e
+    return "R.1", env, e.cont
 
 
 def _primop(env: dict, e: A.PrimOp):  # R.2
-    args = [resolve(env, v) for v in e.args]
-    return "R.2", {**env, e.var: apply_prim(e.op, args)}, e.cont
+    env[e.var] = apply_prim(e.op, [resolve(env, v) for v in e.args])
+    return "R.2", env, e.cont
 
 
 def _if(env: dict, e: A.If):  # R.3 / R.4
@@ -113,15 +114,19 @@ def _app(env: dict, e: A.App):  # R.5
     fdef = lookup_fun(env, e.fname)
     if len(fdef.params) != len(e.args):
         raise Stuck("R.5", f"{e.fname!r} takes {len(fdef.params)} args")
-    callee = dict(env)
-    callee.update((p, resolve(env, a)) for p, a in zip(fdef.params, e.args))
-    return "R.5", callee, fdef.body
+    # Every argument is resolved before any parameter is bound, so that
+    # f(y, x) with parameters (x, y) swaps.
+    env.update(zip(fdef.params, [resolve(env, a) for a in e.args]))
+    return "R.5", env, fdef.body
 
 
 # Rules R.1-R.5 by command type, the steps no engine records in a trace.
 # Each takes (env, command) and returns (rule tag, env, command).  The
-# tracing machine logs these steps as E.0; the Runtime takes them without
-# recording an action.
+# running machine owns its environment: a rule may mutate the `env` it is
+# given and return it.  The one copy is made at a push (R.9/E.6), whose
+# frame keeps the environment its function sees after the pop.  The tracing
+# machine logs these steps as E.0; the Runtime takes them without recording
+# an action.
 CONTROL_RULES = {A.FunDef: _fundef, A.PrimOp: _primop, A.If: _if,
                  A.App: _app}
 
@@ -129,12 +134,13 @@ CONTROL_RULES = {A.FunDef: _fundef, A.PrimOp: _primop, A.If: _if,
 def apply_frame(frame: Frame,
                 vals: tuple[MachineValue, ...]) -> tuple[dict, A.Expr]:
     """Rule R.11 (the tracing machine's E.8): apply a popped frame's
-    function to the popped values; returns (env, body)."""
-    fdef = lookup_fun(frame.env, frame.fname)
+    function to the popped values; returns (env, body).  The parameters
+    are bound in the frame's own environment, which the push copied."""
+    env = frame.env
+    fdef = lookup_fun(env, frame.fname)
     if len(fdef.params) != len(vals):
         raise Stuck("R.11", f"{frame.fname!r} takes {len(fdef.params)} "
                             f"values, popped {len(vals)}")
-    env = dict(frame.env)
     env.update(zip(fdef.params, vals))
     return env, fdef.body
 
@@ -158,7 +164,7 @@ def ref_step(c: RefConfig) -> str:
         return tag
     if isinstance(e, A.Inst):  # R.6 via S.1-S.3
         v, s_tag, _ = step_store(c.store, c.env, e.inst)
-        c.env = {**c.env, e.var: v}
+        c.env[e.var] = v
         c.command = e.cont
         return f"R.6/{s_tag}"
     if isinstance(e, A.Memo):  # R.7
@@ -168,7 +174,7 @@ def ref_step(c: RefConfig) -> str:
         c.command = e.body
         return "R.8"
     if isinstance(e, A.Push):  # R.9
-        c.stack.append(Frame(c.env, e.fname))
+        c.stack.append(Frame(dict(c.env), e.fname))
         c.command = e.body
         return "R.9"
     if isinstance(e, A.Pop):  # R.10

@@ -50,7 +50,7 @@ from operator import attrgetter
 from typing import Optional
 
 from . import ilast as A
-from .analyses import live_vars
+from .analyses import step_data
 from .errors import (DEFAULT_FUEL, FuelExhausted, StaleResult, Stuck,
                      StuckRead, StuckWrite)
 from .refmachine import Frame, Values, apply_frame, initial_env
@@ -205,8 +205,14 @@ class EntryHistory:
         return k
 
     def after(self, om, node) -> int:
-        """The position after every action of the live node `node`."""
-        return bisect_right(self.nodes, om.key(node), key=_LABEL)
+        """The position after every action of the live node `node`.  It is
+        the end when the history is empty or its last node is `node` or
+        comes before it, as for every insert and read of a build."""
+        key = om.key(node)
+        nodes = self.nodes
+        if not nodes or nodes[-1] is node or nodes[-1].label < key:
+            return len(nodes)
+        return bisect_right(nodes, key, key=_LABEL)
 
     def insert(self, om, node, a) -> int:
         """Index `a`, which is the last action of `node` so far."""
@@ -279,8 +285,7 @@ class Runtime:
     def __init__(self, prog: A.Program, store: Store,
                  inputs: dict[str, MachineValue] | None = None,
                  fuel: int = DEFAULT_FUEL):
-        self.live = live_vars(prog)
-        self.fun_index = prog.fun_index()
+        self.fun_index, self.live = step_data(prog)
         self.base = store
         self.fuel = fuel
         self.head = TraceNode("head")
@@ -554,7 +559,7 @@ class Runtime:
                 begin = TraceNode("begin")
                 self._link(begin)
                 regions.append(begin)
-                stack.append(Frame(env, e.fname))
+                stack.append(Frame(dict(env), e.fname))
                 command = e.body
                 self.eval_steps += 1
                 continue

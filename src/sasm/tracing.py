@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from . import ilast as A
-from .analyses import LiveSet, live_vars
+from .analyses import LiveSet, step_data
 from .errors import DEFAULT_FUEL, FuelExhausted, Stuck
 from .refmachine import (CONTROL_RULES, Frame, Values, apply_frame,
                          initial_env)
@@ -107,7 +107,8 @@ def _inst(store, env: dict, e: A.Inst, saved):  # E.1-E.3
         tag, action = "E.3", TWrite(ops[2], ops[0], ops[1])
     else:
         tag, action = "E.1", TAlloc(v, ops[0])
-    return tag, action, {**env, e.var: v}, e.cont
+    env[e.var] = v
+    return tag, action, env, e.cont
 
 
 def _memo(store, env: dict, e: A.Memo, saved):  # E.4
@@ -273,7 +274,7 @@ class TracingMachine:
 
         if t is A.Push:
             self.ctx = (PUSH_MARK, self.ctx)
-            self.stack.append(Frame(self.env, e.fname))
+            self.stack.append(Frame(dict(self.env), e.fname))
             if self.debug:
                 self._mark_stacks.append(("push", tuple(self.stack), None))
             self.command = e.body
@@ -451,9 +452,10 @@ def run_from_scratch(prog: A.Program, store: Store | None = None,
     """Evaluate from an empty trace; the resulting trace is from-scratch
     consistent by construction."""
     store = store if store is not None else Store()
+    fun_index, live = step_data(prog)
     m = TracingMachine(store, initial_env(prog, inputs), prog.entry, None,
-                       fun_index=prog.fun_index(), live=live_vars(prog),
-                       policy=policy, debug=debug)
+                       fun_index=fun_index, live=live, policy=policy,
+                       debug=debug)
     result = m.run(fuel)
     if debug:
         assert all(t in EVAL_TAGS for t in result.log), \
@@ -485,8 +487,9 @@ def propagation_machine(prog: A.Program, reuse: Trace, store: Store,
     reserved up front.
     """
     store.reserve(_max_loc_id(reuse))
-    return TracingMachine(store, {}, PROP, reuse, fun_index=prog.fun_index(),
-                          live=live_vars(prog), policy=policy, debug=debug)
+    fun_index, live = step_data(prog)
+    return TracingMachine(store, {}, PROP, reuse, fun_index=fun_index,
+                          live=live, policy=policy, debug=debug)
 
 
 def propagate(prog: A.Program, reuse: Trace, store: Store,
@@ -625,8 +628,7 @@ def enumerate_schedules(prog: A.Program, store: Store, bound: int = 2000,
     (values, non-garbage store) fingerprints; stuck schedules contribute no
     outcome.
     """
-    live = live_vars(prog)
-    fun_index = prog.fun_index()
+    fun_index, live = step_data(prog)
     outcomes = set()
     worklist: list[tuple[bool, ...]] = [()]
     seen: set[tuple[bool, ...]] = set()

@@ -2,16 +2,20 @@
 
 from sasm import analyses
 from sasm import ilast as A
-from sasm.analyses import live_vars, region_no_update
+from sasm.analyses import live_vars, region_no_update, step_data
+from sasm.cli import battery
 from sasm.corpus import (exptrees_fixture, gen_array_max, apply_edits, Edit,
                          corpus_benchmarks)
-from sasm.dps import dps_convert_program
-from sasm.fuzz import gen_program, gen_edits
+from sasm.dps import dps_convert_program, dps_selective
+from sasm.errors import DEFAULT_FUEL
+from sasm.fuzz import _apply_shrink, _shrink_candidates, gen_program, gen_edits
 from sasm.ilast import Memo, Push, Update, walk_program
 from sasm.parser import parse_program
 from sasm.refmachine import ref_run
+from sasm.runtime import Runtime
 from sasm.store import Store
-from sasm.tracing import Policy, propagate, run_from_scratch
+from sasm.tracing import (Policy, propagate, propagation_machine,
+                          run_from_scratch)
 
 
 def test_pop_live_set_is_its_variables():
@@ -287,3 +291,75 @@ def test_long_straight_line_programs_analyse_without_recursion(monkeypatch):
     for p, (live, info) in zip(progs, infos):
         assert live == _live_vars_recursive(p)
         assert info == region_no_update(p)
+
+
+# -- step data stored on the program ---------------------------------------------
+
+
+def _snapshot(data):
+    """A copy of (fun_index, LiveSet) that shares no mutable part with it."""
+    funs, live = data
+    return dict(funs), analyses.LiveSet(dict(live.live), live.fn_names,
+                                        dict(live.saved))
+
+
+def test_stored_step_data_equals_a_fresh_analysis(corpus):
+    progs = []
+    for b in corpus:
+        progs += [b.program, dps_convert_program(b.program),
+                  dps_selective(b.program)]
+    progs += [gen_program(seed).program for seed in range(200)]
+    for p in progs:
+        data = step_data(p)
+        assert p.step_data is data and step_data(p) is data
+        assert data == (p.fun_index(), live_vars(p))
+
+
+def test_every_engine_reads_the_stored_step_data():
+    bench = gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "b")
+    prog = bench.program
+    store, labels, inputs = bench.build()
+    t = run_from_scratch(prog, store.copy(), inputs=inputs)
+    funs, live = prog.step_data
+    m = propagation_machine(prog, t.trace, store.copy())
+    rt = Runtime(prog, store.copy(), inputs=inputs)
+    assert m.fun_index is rt.fun_index is funs
+    assert m.live is rt.live is live
+    assert prog.step_data == (funs, live)
+
+
+def test_renumbering_or_shrinking_drops_the_stored_step_data():
+    prog = gen_program(3).program
+    data = step_data(prog)
+    cand = next(_shrink_candidates(prog))
+    shrunk = _apply_shrink(prog, cand)
+    assert shrunk.step_data is None
+    assert prog.step_data is data
+    A.number_exprs(prog)
+    assert prog.step_data is None
+    assert step_data(prog) == data
+
+
+def test_the_check_battery_never_mutates_the_stored_step_data(corpus):
+    """Every battery engine runs the program itself (`native`), so each
+    reads its stored step data."""
+    cases = []
+    for b in corpus:
+        if b.edit_slots:
+            store, labels, inputs = b.build()
+            cases.append((b.program, store, labels, inputs,
+                          gen_edits(5, store, labels, b.edit_slots, 2)))
+    for seed in range(20):
+        case = gen_program(seed)
+        store, labels, inputs = case.build()
+        cases.append((case.program, store, labels, inputs,
+                      gen_edits(seed + 1, store, labels, case.edit_slots, 2)))
+    reached_the_runtime = 0
+    for prog, store, labels, inputs, edits in cases:
+        before = _snapshot(step_data(prog))
+        checks = list(battery(prog, store, labels, inputs, edits,
+                              DEFAULT_FUEL, native=True))
+        reached_the_runtime += checks[-1][0] == "fast-vs-faithful"
+        assert prog.step_data == before
+        assert prog.step_data == (prog.fun_index(), live_vars(prog))
+    assert reached_the_runtime > len(cases) // 2

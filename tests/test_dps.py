@@ -1,8 +1,12 @@
 """Destination-passing-style conversion: shape, preservation, selectivity."""
 
+import hashlib
+
 import pytest
 
-from sasm.corpus import apply_edits, deref_result, exptrees_fixture
+from sasm.cli import main
+from sasm.corpus import (apply_edits, deref_result, exptrees_fixture,
+                         gen_array_max)
 from sasm.dps import (AlreadyConverted, DpsContext, UnknownArity,
                       dps_convert, dps_convert_env, dps_convert_program,
                       dps_selective)
@@ -10,6 +14,7 @@ from sasm.fuzz import gen_edits, gen_program
 from sasm.ilast import (App, FunDef, Inst, Memo, Pop, Push, Read, Update,
                         Write, ast_equal, program_equal, walk_program)
 from sasm.parser import parse_program
+from sasm.printer import print_program
 from sasm.refmachine import ref_run
 from sasm.tracing import propagation_machine, run_from_scratch
 from sasm.wf import check_wf
@@ -304,3 +309,44 @@ arity 0
     m = propagation_machine(p, t1.trace, s2, debug=True)
     m.run()
     assert m.csa_violations  # the re-popped vector changed
+
+
+def test_a_long_builder_converts_and_checks_through_the_cli(tmp_path):
+    """The n=1024 array builder, printed as a program, is one let chain of
+    1,029 links, past Python's recursion limit."""
+    path = tmp_path / "builder.il"
+    path.write_text(print_program(gen_array_max(1024, "b").builder))
+    for argv in (["dps"], ["dps", "--selective"], ["cost", "--dps"],
+                 ["check"]):
+        assert main(argv + [str(path)]) == 0, argv
+
+
+# SHA-256 over the printed conversions of each family, in order, as the
+# recursive conversion printed them.
+CONVERTED_DIGESTS = {
+    ("corpus", dps_convert_program):
+        "6e9535ffb95a346a6bd93c2db2067e97b31ed433eeb0c1350b5e7e371407c9a8",
+    ("corpus", dps_selective):
+        "6e9535ffb95a346a6bd93c2db2067e97b31ed433eeb0c1350b5e7e371407c9a8",
+    ("builders", dps_convert_program):
+        "a36f76b2f13f37630576ff0a0db7461055e6ff808965757844fab8433f9ec34c",
+    ("builders", dps_selective):
+        "8ea69d75310c7d9b9dcdfd60e29ccab39f2d848e323a05826489f3f03f9dc445",
+    ("fuzz", dps_convert_program):
+        "f8ab07da9799cf255b893c87b2c323f54a09c5786918fb148be4908ebe14e00b",
+    ("fuzz", dps_selective):
+        "159eb466c67d5e628fce1a5324622b74ab630d2cc24b68a132fc5f03aacb28da",
+}
+
+
+def test_converted_text_is_unchanged(corpus):
+    """Every corpus program and builder, and fuzz seeds 0..199, convert to
+    the same text as before the conversion walked let chains in a loop."""
+    families = {"corpus": [b.program for b in corpus],
+                "builders": [b.builder for b in corpus],
+                "fuzz": [gen_program(seed).program for seed in range(200)]}
+    for (family, convert), digest in CONVERTED_DIGESTS.items():
+        h = hashlib.sha256()
+        for prog in families[family]:
+            h.update(print_program(convert(prog)).encode())
+        assert h.hexdigest() == digest, (family, convert.__name__)

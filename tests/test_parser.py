@@ -5,8 +5,10 @@ import pytest
 
 from sasm.corpus import corpus_benchmarks, exptrees_fixture, gen_array_max, gen_list
 from sasm.dps import dps_convert_program
+from sasm.fuzz import gen_program
 from sasm.ilast import App, Inst, Pop, Program, ends_properly, program_equal
-from sasm.parser import ArityError, ParseError, parse_program, parse_program_with_warnings
+from sasm.parser import (KEYWORDS, ArityError, ParseError, Token, parse_program,
+                         parse_program_with_warnings, tokenize)
 from sasm.printer import print_program
 from sasm.wf import check_wf
 
@@ -58,7 +60,7 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 1 and exc.value.col > 0
 
 
-@pytest.mark.parametrize("word,src,line,col", [
+MISSING_KEYWORD_CASES = [
     ("in", "let y = prim add(1, 2) in\nlet fun f(x) = pop(x)\n  pop(y)\n"
      "arity 1", 3, 3),
     ("in", "let y = prim add(1, 2)\n  pop(y)\narity 1", 2, 3),
@@ -68,7 +70,10 @@ def test_syntax_error_carries_position():
     ("else", "let c = prim eq(1, 1) in\nif c then pop(1)\n  pop(2)\narity 1",
      3, 3),
     ("do", "let fun f(x) = pop(x) in\npush f f(1)\narity 1", 2, 8),
-])
+]
+
+
+@pytest.mark.parametrize("word,src,line,col", MISSING_KEYWORD_CASES)
 def test_missing_keyword_is_an_error_at_the_offending_token(word, src, line,
                                                             col):
     with pytest.raises(ParseError) as exc:
@@ -182,3 +187,106 @@ def test_check_wf_primop_arity():
     p = parse_program("let x = prim not(1, 2) in pop(x)\narity 1")
     diags = check_wf(p)
     assert any("takes 1 args" in str(d) for d in diags)
+
+
+# -- the tokenizer against its per-character reference -------------------------
+
+
+def _tokenize_per_character(src: str) -> list[Token]:
+    """The tokenizer as it was written before the compiled pattern: one
+    character at a time."""
+    toks: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == ";":
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if c.isdigit() or (c == "-" and i + 1 < n and src[i + 1].isdigit()):
+            j = i + 1
+            while j < n and src[j].isdigit():
+                j += 1
+            toks.append(Token("int", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_'$"):
+                j += 1
+            word = src[i:j]
+            kind = "kw" if word in KEYWORDS else "ident"
+            toks.append(Token(kind, word, line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c in "(){},=":
+            toks.append(Token(c, c, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def _outcome(tok, src):
+    try:
+        return tok(src)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.col)
+
+
+ODD_SOURCES = [
+    "let x = prim add(1, in pop(x)\narity 1",
+    "pop(x)\narity 1",
+    "let x = alloc(3) in pop(x, x)\narity 1",
+    "let é = prim add(1, 2) in pop(é)\narity 1",   # a non-ASCII letter
+    "let xé1 = prim add(1, 2) in pop(xé1)\narity 1",
+    "let x = prim add(٣, 2) in pop(x)\narity 1",   # a non-ASCII digit
+    "let x = prim add(12٣, -4٣) in pop(x)\narity 1",
+    "let x = prim add(², 1²) in pop(x)\narity 1",  # isdigit, not decimal
+    "let x = prim add(½, 1) in pop(x)\narity 1",   # numeric, not a digit
+    "let x = prim add(-, 2) in pop(x)\narity 1",   # "-" before no digit
+    "let x = prim add(- 2, 2) in pop(x)\narity 1",
+    "let x = prim add(-", "-", "12é", "x-1", "a'b$c_d", "_x",
+    "pop(1)\narity 1 ; a comment at EOF",
+    "pop(1)\narity 1\n; a comment at EOF",
+    "; only a comment", "", "\n\n", "\t \r x", "pop(1)\narity 1 \t",
+    "x  ",
+    "pop(1) # no hash comments\narity 1",
+    "pop(1)\n\tarity 1 @",
+    "let x\u00a0= prim add(1, 2) in pop(x)",
+]
+
+
+def test_tokenize_matches_the_per_character_reference(corpus):
+    """The compiled pattern gives the same tokens, and the same ParseError
+    with its line:col, as the per-character tokenizer."""
+    sources = []
+    for path in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.il"))):
+        with open(path) as fh:
+            sources.append(fh.read())
+    for bench in corpus:
+        sources += [print_program(bench.program), print_program(bench.builder)]
+    sources += [print_program(gen_program(seed).program)
+                for seed in range(200)]
+    sources += [src for _, src, _, _ in MISSING_KEYWORD_CASES]
+    sources += ODD_SOURCES
+    for src in sources:
+        assert (_outcome(tokenize, src)
+                == _outcome(_tokenize_per_character, src)), src
+    errors = [_outcome(tokenize, src) for src in ODD_SOURCES]
+    assert sum(isinstance(e, tuple) for e in errors) >= 5

@@ -14,6 +14,7 @@ from sasm.dps import dps_convert_program
 from sasm.errors import (FuelExhausted, StaleResult, Stuck, StuckRead,
                          StuckWrite)
 from sasm.fuzz import gen_edits, gen_program
+from sasm.ilast import FunDef, number_exprs, walk_program
 from sasm.parser import parse_program
 from sasm.refmachine import ref_run
 from sasm.runtime import (EntryHistory, OrderMaintenance, Runtime, TraceNode,
@@ -895,3 +896,98 @@ def test_an_unguarded_dirty_read_sticks_the_same_on_both_engines(
         rt.propagate([(inp, 1, 7)], fuel=10_000)
     assert type(faithful.value) is type(fast.value) is error
     assert faithful.value.family == fast.value.family == family
+
+
+# -- environment ownership -------------------------------------------------------
+
+# Each engine's rules update the running environment in place; the one copy
+# is made at a push.  Each program reads inp[1] = 1 under an update point at
+# the entry, and the edit writes 2 there, so a propagation re-runs it all.
+OWNERSHIP_CASES = {
+    # The push body's recursive call rebinds x, which the pushed k reads
+    # after the pop (dynamic scope): 1 + 10 + 100, then 2 + 20 + 200.
+    "push-body-rebinds-a-read-name": ("""
+let fun f(x, n) =
+  let fun k(v) =
+    let s = prim add(v, x) in
+    pop(s)
+  in
+  if n then
+    let m = prim sub(n, 1) in
+    let x1 = prim mul(x, 10) in
+    push k do
+      f(x1, m)
+  else
+    pop(x)
+update
+  let a = read(inp, 1) in
+  f(a, 2)
+""", 111, 222),
+    # f(y, x, m) with parameters (x, y, n) swaps: 5 - 1, then 5 - 2.
+    "call-swaps-its-arguments": ("""
+let fun f(x, y, n) =
+  if n then
+    let m = prim sub(n, 1) in
+    f(y, x, m)
+  else
+    let d = prim sub(x, y) in
+    pop(d)
+update
+  let a = read(inp, 1) in
+  f(a, 5, 1)
+""", 4, 3),
+    # The push body binds k again (kk, renamed to k once parsed); the pop
+    # must still apply the k the push saw: 1 + 1, then 2 + 1.
+    "push-body-rebinds-the-pushed-function": ("""
+update
+  let a = read(inp, 1) in
+  let fun k(v) =
+    let s = prim add(v, 1) in
+    pop(s)
+  in
+  push k do
+    let fun kk(w) =
+      let t = prim mul(w, 100) in
+      pop(t)
+    in
+    pop(a)
+""", 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OWNERSHIP_CASES))
+def test_every_engine_owns_its_environment(case):
+    src, before, after = OWNERSHIP_CASES[case]
+    prog = parse_program("input inp\n" + src + "arity 1\n")
+    for e in walk_program(prog):
+        if isinstance(e, FunDef) and e.fname == "kk":
+            e.fname = "k"
+    number_exprs(prog)
+    store = Store()
+    inp = store.alloc(1)
+    store.write(inp, 1, 1)
+    edited = store.copy()
+    edited.write(inp, 1, 2)
+    inputs = {"inp": inp}
+    assert ref_run(prog, store.copy(), inputs=inputs).values == (before,)
+    t1 = run_from_scratch(prog, store.copy(), inputs=inputs)
+    assert t1.values == (before,)
+    rt = Runtime(prog, store.copy(), inputs=inputs)
+    assert rt.final_values() == (before,)
+    assert ref_run(prog, edited.copy(), inputs=inputs).values == (after,)
+    t2 = propagation_machine(prog, t1.trace, edited.copy()).run()
+    assert t2.values == (after,)
+    fast = rt.propagate([(inp, 1, 2)])
+    assert fast.values == (after,)
+    assert canonicalize(t2.values, t2.trace, t2.store, edited) == \
+        canonicalize(fast.values, fast.trace, fast.store, edited)
+
+
+def test_an_empty_history_still_refuses_a_retired_node():
+    om = OrderMaintenance(origin=TraceNode("head"))
+    node = om.insert_after(om.origin(), TraceNode("run"))
+    h = EntryHistory()
+    assert h.after(om, node) == 0
+    om.delete(node)
+    with pytest.raises(UseAfterDelete):
+        h.after(om, node)
