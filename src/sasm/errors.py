@@ -32,6 +32,16 @@ class StaleResult(Exception):
     run moved on to a later edit batch."""
 
 
+class BrokenRuntime(Exception):
+    """A Runtime was used after one of its propagations raised: that
+    propagation left the retained run half re-evaluated."""
+
+    def __init__(self, cause: BaseException):
+        super().__init__(f"Runtime unusable: an earlier propagate raised "
+                         f"{type(cause).__name__}: {cause}")
+        self.cause = cause
+
+
 class FuelExhausted(Exception):
     def __init__(self, fuel: int):
         super().__init__(f"fuel exhausted after {fuel} steps")

@@ -47,7 +47,7 @@ KEYWORDS = {
 
 # Blanks, then a word, punctuation, an ASCII integer, a newline, a comment,
 # or any other non-blank character (left to `_unusual`, as is an integer
-# before a non-ASCII character, which str.isdigit may call a digit).  `\w`
+# before a non-ASCII character, which str.isdecimal may call a digit).  `\w`
 # is str.isalnum plus "_".
 _TOKEN = re.compile(r"""[ \t\r]*(?:
     ([A-Za-z_][\w'$]*) | ([(){},=]) | (-?[0-9]+)(?![0-9]|[^\x00-\x7f])
@@ -55,7 +55,7 @@ _TOKEN = re.compile(r"""[ \t\r]*(?:
 _WORD_REST = re.compile(r"[\w'$]*")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # 'ident' | 'int' | 'kw' | punct char | 'eof'
     text: str
@@ -64,11 +64,12 @@ class Token:
 
 
 def _unusual(src: str, i: int, line: int, col: int) -> tuple[Token, int]:
-    """The token at src[i] by str.isdigit and str.isalpha, and its end;
-    ParseError if none starts there."""
+    """The token at src[i] by str.isdecimal and str.isalpha, and its end;
+    ParseError if none starts there.  Only decimal digits make an integer:
+    int() rejects the other str.isdigit characters, such as '²'."""
     c, j = src[i], i + 1
-    if c.isdigit() or (c == "-" and src[j:j + 1].isdigit()):
-        while j < len(src) and src[j].isdigit():
+    if c.isdecimal() or (c == "-" and src[j:j + 1].isdecimal()):
+        while j < len(src) and src[j].isdecimal():
             j += 1
         return Token("int", src[i:j], line, col), j
     if c.isalpha():
@@ -155,10 +156,6 @@ class _Parser:
         t = self.next()
         if t.kind != "kw" or t.text != word:
             raise ParseError(f"expected {word!r}, got {t.text!r}", t.line, t.col)
-
-    def err(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
 
     # -- name handling -------------------------------------------------
 

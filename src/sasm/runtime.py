@@ -51,8 +51,8 @@ from typing import Optional
 
 from . import ilast as A
 from .analyses import step_data
-from .errors import (DEFAULT_FUEL, FuelExhausted, StaleResult, Stuck,
-                     StuckRead, StuckWrite)
+from .errors import (DEFAULT_FUEL, BrokenRuntime, FuelExhausted,
+                     StaleResult, Stuck, StuckRead, StuckWrite)
 from .refmachine import Frame, Values, apply_frame, initial_env
 from .store import Loc, MachineValue, Store, UNINIT
 from .tracing import STEP_RULES, saved_env
@@ -304,6 +304,9 @@ class Runtime:
         self.live_entries = 0  # len(self.flat_trace()), kept up to date
         self.start_entries = 0  # live_entries when the propagation began
         self.generation = 0  # bumped whenever an edit changes the run
+        # What the first propagate that raised raised: the run is then
+        # half re-evaluated, so later edits are refused.
+        self.failure: BaseException | None = None
         self.at = self.head  # the node the running session linked last
         self._session(initial_env(prog, inputs), prog.entry, after=self.head,
                       cursor=None, fuel=fuel)
@@ -389,6 +392,8 @@ class Runtime:
     def mark_dirty(self, loc: Loc, off: int, value) -> None:
         """Apply one edit to the input store; enqueue the guard of every
         read the edit breaks."""
+        if self.failure is not None:
+            raise BrokenRuntime(self.failure) from self.failure
         if self.base.peek(loc, off) is None:
             raise KeyError(f"unknown entry {loc!r}[{off}]")
         self.generation += 1
@@ -619,6 +624,17 @@ class Runtime:
 
     def propagate(self, edits: list[tuple[Loc, int, MachineValue]],
                   fuel: int | None = None) -> FastResult:
+        """Apply the edits and bring the run up to date.  If this raises,
+        every later propagate or mark_dirty raises BrokenRuntime."""
+        if self.failure is not None:
+            raise BrokenRuntime(self.failure) from self.failure
+        try:
+            return self._propagate(edits, fuel)
+        except BaseException as exc:
+            self.failure = exc
+            raise
+
+    def _propagate(self, edits, fuel) -> FastResult:
         fuel = fuel if fuel is not None else self.fuel
         self.generation += 1
         self.eval_steps = 0

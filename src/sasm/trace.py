@@ -274,10 +274,10 @@ def _env_str(env: SavedEnv) -> str:
     return "{" + ",".join(f"{k}={fmt_value(v)}" for k, v in env) + "}"
 
 
-def dump_lines(t: Trace, depth: int = 0) -> list[str]:
+def dump_lines(t: Trace) -> list[str]:
     out: list[str] = []
     todo: list[Trace] = []  # the tails after each open push
-    pad = "  " * depth
+    pad = ""
     while True:
         while t is not None:
             a, t = t

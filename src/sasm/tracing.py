@@ -36,7 +36,7 @@ from .refmachine import (CONTROL_RULES, Frame, Values, apply_frame,
 from .store import Loc, MachineValue, Store, UNINIT, resolve, step_store
 from .trace import (
     PUSH_MARK, PropMark, TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
-    Trace, TraceZipper, UndoMark, last_action, rewind_to_mark,
+    Trace, TraceZipper, UndoMark, rewind_to_mark,
 )
 
 
@@ -68,9 +68,6 @@ class Policy:
 
     memo_chooser: Optional[Callable[[bool], bool]] = None
     update_chooser: Optional[Callable[[bool], bool]] = None
-    # Save full environments at memo/update points instead of the
-    # live-restricted ones (for the monotone-matching comparison).
-    full_env: bool = False
 
 
 DEFAULT_POLICY = Policy()
@@ -141,8 +138,7 @@ class TracingMachine:
                  reuse: Trace = None, *,
                  fun_index: dict[str, A.FunDef],
                  live: LiveSet,
-                 policy: Policy = DEFAULT_POLICY,
-                 debug: bool = False):
+                 policy: Policy = DEFAULT_POLICY):
         self.store = store
         self.ctx = None
         self.focus: Trace = reuse
@@ -152,7 +148,6 @@ class TracingMachine:
         self.fun_index = fun_index
         self.live = live
         self.policy = policy
-        self.debug = debug
         self.log: list[str] = []
         self.final_trace: Trace = None
         # Pending composite ops: a memo match drains the prefix one undo step
@@ -161,29 +156,14 @@ class TracingMachine:
         # subtraces containing an identical memo action.
         self._seek_target: tuple[int, tuple] | None = None
         self._seek_depth = 0
-        # Instrumentation.
-        self._mark_stacks: list[tuple] = []  # (kind, stack snapshot, aux)
-        self.csa_violations: list[tuple] = []
-        self.segments: list[dict] = []  # P.E re-evaluation segments (debug)
 
     # -- helpers ---------------------------------------------------------
 
     def _emit(self, tag: str) -> str:
         self.log.append(tag)
-        if self.debug and self.segments and not self.segments[-1].get("done"):
-            if tag in EVAL_TAGS or tag in UNDO_TAGS or tag == "E.P":
-                self.segments[-1]["tags"].append(tag)
-                if tag == "E.P":
-                    self.segments[-1]["done"] = True
-            else:
-                self.segments[-1]["done"] = True
         return tag
 
     def _saved(self, env: dict, eid: int):
-        if self.policy.full_env:
-            fns = self.live.fn_names
-            return saved_env(env, sorted(env.keys() - fns),
-                             frozenset(env) & fns)
         return saved_env(env, *self.live.saved[eid])
 
     def zipper(self) -> TraceZipper:
@@ -275,8 +255,6 @@ class TracingMachine:
         if t is A.Push:
             self.ctx = (PUSH_MARK, self.ctx)
             self.stack.append(Frame(dict(self.env), e.fname))
-            if self.debug:
-                self._mark_stacks.append(("push", tuple(self.stack), None))
             self.command = e.body
             return self._emit("E.6")
         raise Stuck("E", f"no rule for command {e!r}")
@@ -290,10 +268,6 @@ class TracingMachine:
             r = rewind_to_mark(self.zipper())
             if r.mark != "push":
                 raise Stuck("E.8", f"expected push mark, found {r.mark}")
-            if self.debug:
-                kind, snap, _ = self._mark_stacks.pop()
-                assert kind == "push" and snap == tuple(self.stack), \
-                    "stack parametricity violated at E.8"
             self.env, self.command = apply_frame(self.stack.pop(), cmd.vals)
             self.ctx = (TPush(r.gathered), r.ctx)
             self.focus = r.focus
@@ -308,12 +282,6 @@ class TracingMachine:
         if r.mark == "prop":
             if r.focus is not None:
                 raise Stuck("P.8", "rewound focus not empty at propagation mark")
-            if self.debug:
-                kind, snap, orig_pop = self._mark_stacks.pop()
-                assert kind == "prop" and snap == tuple(self.stack), \
-                    "stack parametricity violated at P.8"
-                if orig_pop is not None and orig_pop != cmd.vals:
-                    self.csa_violations.append((orig_pop, cmd.vals))
             self.ctx = (TPush(r.gathered), r.ctx)
             self.focus = r.prop_tail
             self.env = {}
@@ -387,23 +355,12 @@ class TracingMachine:
                 self.focus = tail
                 self.env = env
                 self.command = a.expr
-                tag = self._emit("P.E")
-                if self.debug:
-                    self.segments.append({
-                        "store": self.store.copy(), "env": dict(env),
-                        "expr": a.expr, "tags": [], "done": False,
-                    })
-                return tag
+                return self._emit("P.E")
             self.ctx = (a, self.ctx)
             self.focus = tail
             return self._emit("P.5")
         if t is TPush:
             self.ctx = (PropMark(tail), self.ctx)
-            if self.debug:
-                orig = last_action(a.sub)
-                self._mark_stacks.append(
-                    ("prop", tuple(self.stack),
-                     orig.vals if isinstance(orig, TPop) else None))
             self.focus = a.sub
             return self._emit("P.6")
         if t is TPop:
@@ -420,8 +377,6 @@ class TracingMachine:
     def step(self) -> str:
         cmd = self.command
         if cmd is PROP:
-            if self.debug:
-                assert not self.env, "propagation requires an empty environment"
             return self._prop_step()
         if type(cmd) is Values:
             return self._values_step(cmd)
@@ -447,20 +402,14 @@ class TracingMachine:
 def run_from_scratch(prog: A.Program, store: Store | None = None,
                      inputs: dict[str, MachineValue] | None = None,
                      fuel: int = DEFAULT_FUEL,
-                     policy: Policy = DEFAULT_POLICY,
-                     debug: bool = False) -> BalancedResult:
+                     policy: Policy = DEFAULT_POLICY) -> BalancedResult:
     """Evaluate from an empty trace; the resulting trace is from-scratch
     consistent by construction."""
     store = store if store is not None else Store()
     fun_index, live = step_data(prog)
     m = TracingMachine(store, initial_env(prog, inputs), prog.entry, None,
-                       fun_index=fun_index, live=live, policy=policy,
-                       debug=debug)
-    result = m.run(fuel)
-    if debug:
-        assert all(t in EVAL_TAGS for t in result.log), \
-            "from-scratch runs take evaluation steps only"
-    return result
+                       fun_index=fun_index, live=live, policy=policy)
+    return m.run(fuel)
 
 
 def _max_loc_id(t: Trace) -> int:
@@ -477,8 +426,7 @@ def _max_loc_id(t: Trace) -> int:
 
 
 def propagation_machine(prog: A.Program, reuse: Trace, store: Store,
-                        policy: Policy = DEFAULT_POLICY,
-                        debug: bool = False) -> TracingMachine:
+                        policy: Policy = DEFAULT_POLICY) -> TracingMachine:
     """A machine set up to replay a from-scratch trace over a (possibly
     edited) initial store.
 
@@ -489,14 +437,13 @@ def propagation_machine(prog: A.Program, reuse: Trace, store: Store,
     store.reserve(_max_loc_id(reuse))
     fun_index, live = step_data(prog)
     return TracingMachine(store, {}, PROP, reuse, fun_index=fun_index,
-                          live=live, policy=policy, debug=debug)
+                          live=live, policy=policy)
 
 
 def propagate(prog: A.Program, reuse: Trace, store: Store,
               fuel: int = DEFAULT_FUEL,
-              policy: Policy = DEFAULT_POLICY,
-              debug: bool = False) -> BalancedResult:
-    return propagation_machine(prog, reuse, store, policy, debug).run(fuel)
+              policy: Policy = DEFAULT_POLICY) -> BalancedResult:
+    return propagation_machine(prog, reuse, store, policy).run(fuel)
 
 
 def non_garbage(store: Store) -> Store:

@@ -1,0 +1,93 @@
+"""The faithful machine's lemma checks, as an observer of its public steps.
+
+`checked_run` drives a `TracingMachine` through `step()` as
+`TracingMachine.run` does and, around each step, asserts what the paper's
+lemmas say of it:
+
+* a propagation step (command PROP) runs under an empty environment;
+* stack parametricity: each E.6 push and each P.6 propagation mark is
+  matched by an E.8 or P.8 rewind of the same kind, over the stack the mark
+  was made on;
+* the CSA proxy: a P.8 rewind re-pops the value vector that the replayed
+  push subtrace recorded (a mismatch is collected, not asserted, since only
+  converted programs promise it);
+* each P.E re-evaluation segment records its start configuration and the
+  evaluation, undo and E.P tags that follow it, for replay on the
+  reference machine.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+from sasm.analyses import step_data
+from sasm.errors import DEFAULT_FUEL, FuelExhausted
+from sasm.refmachine import Values, initial_env
+from sasm.store import Store
+from sasm.trace import TPop, last_action
+from sasm.tracing import (EVAL_TAGS, PROP, TERMINATED, UNDO_TAGS,
+                          BalancedResult, TracingMachine)
+
+
+class CheckedRun(NamedTuple):
+    result: BalancedResult
+    marks: list[tuple]  # (kind, stack snapshot, recorded pop) left open
+    csa_violations: list[tuple]  # (recorded pop, re-popped values)
+    segments: list[dict]  # store, env, expr, tags, done
+
+
+def _record_tag(segments: list[dict], tag: str) -> None:
+    if segments and not segments[-1]["done"]:
+        if tag in EVAL_TAGS or tag in UNDO_TAGS or tag == "E.P":
+            segments[-1]["tags"].append(tag)
+            if tag == "E.P":
+                segments[-1]["done"] = True
+        else:
+            segments[-1]["done"] = True
+
+
+def checked_run(m: TracingMachine, fuel: int = DEFAULT_FUEL) -> CheckedRun:
+    marks: list[tuple] = []
+    csa_violations: list[tuple] = []
+    segments: list[dict] = []
+    steps = 0
+    while True:
+        cmd = m.command
+        if cmd is PROP:
+            assert not m.env, "propagation requires an empty environment"
+        stack = tuple(m.stack)
+        head = m.focus[0] if m.focus is not None else None
+        tag = m.step()
+        if tag == TERMINATED:
+            assert isinstance(m.command, Values)
+            result = BalancedResult(m.command.vals, m.store, m.final_trace,
+                                    m.log)
+            return CheckedRun(result, marks, csa_violations, segments)
+        if tag == "E.6":
+            marks.append(("push", tuple(m.stack), None))
+        elif tag == "P.6":
+            orig = last_action(head.sub)
+            marks.append(("prop", tuple(m.stack),
+                          orig.vals if isinstance(orig, TPop) else None))
+        elif tag == "E.8" or tag == "P.8":
+            kind, snap, orig_pop = marks.pop()
+            assert kind == ("push" if tag == "E.8" else "prop") \
+                and snap == stack, f"stack parametricity violated at {tag}"
+            if orig_pop is not None and orig_pop != cmd.vals:
+                csa_violations.append((orig_pop, cmd.vals))
+        _record_tag(segments, tag)
+        if tag == "P.E":
+            segments.append({"store": m.store.copy(), "env": dict(m.env),
+                             "expr": m.command, "tags": [], "done": False})
+        steps += 1
+        if steps >= fuel:
+            raise FuelExhausted(fuel)
+
+
+def scratch_machine(prog, store: Store | None = None,
+                    inputs: dict | None = None) -> TracingMachine:
+    """The machine `run_from_scratch` builds and runs."""
+    store = store if store is not None else Store()
+    fun_index, live = step_data(prog)
+    return TracingMachine(store, initial_env(prog, inputs), prog.entry, None,
+                          fun_index=fun_index, live=live)

@@ -22,6 +22,7 @@ from sasm.tracing import (canonical_result, canonicalize,
                           check_garbage_unreachable, non_garbage,
                           propagate, propagation_machine, run_from_scratch)
 
+from machine_checks import checked_run, scratch_machine
 from om_oracle import NaiveOrder
 
 FUZZ_FUEL = 400_000
@@ -330,13 +331,11 @@ def test_criterion_8_rewinding_and_zipper_suite():
     # Stack parametricity, instrumented through a propagation run.
     am = gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "c")
     astore, alabels, ainputs = am.build()
-    a1 = run_from_scratch(am.program, astore.copy(), inputs=ainputs,
-                          debug=True)
+    a1 = checked_run(scratch_machine(am.program, astore.copy(), ainputs))
     s2 = astore.copy()
     apply_edits(s2, alabels, [Edit("arr", 2, 0)])
-    m = propagation_machine(am.program, a1.trace, s2, debug=True)
-    m.run()
-    assert not m._mark_stacks
+    m = propagation_machine(am.program, a1.result.trace, s2)
+    assert not checked_run(m).marks
 
     # last(T) = result vector over every generated trace.
     count = 0

@@ -15,7 +15,9 @@ from sasm.refmachine import ref_run
 from sasm.runtime import Runtime
 from sasm.store import Store
 from sasm.tracing import (Policy, propagate, propagation_machine,
-                          run_from_scratch)
+                          run_from_scratch, saved_env)
+
+from machine_checks import scratch_machine
 
 
 def test_pop_live_set_is_its_variables():
@@ -162,14 +164,23 @@ def test_monotone_memo_matching_live_vs_full(corpus):
     bench = gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "b")
     store, labels, inputs = bench.build()
 
+    fns = step_data(bench.program)[1].fn_names
+
+    def full_saved(env, eid):
+        """Every bound variable and function name, not only the live ones."""
+        return saved_env(env, sorted(env.keys() - fns), frozenset(env) & fns)
+
     def matches(full_env: bool) -> int:
-        t1 = run_from_scratch(bench.program, store.copy(), inputs=inputs,
-                              policy=Policy(full_env=full_env))
+        def saving(m):
+            if full_env:
+                m._saved = full_saved
+            return m
+
+        t1 = saving(scratch_machine(bench.program, store.copy(), inputs)).run()
         s2 = store.copy()
         apply_edits(s2, labels, [Edit("arr", 2, 0)])
-        t2 = propagate(bench.program, t1.trace, s2,
-                       policy=Policy(full_env=full_env))
-        return t2.log.count("E.P")
+        m2 = saving(propagation_machine(bench.program, t1.trace, s2))
+        return m2.run().log.count("E.P")
 
     assert matches(full_env=False) >= matches(full_env=True)
 

@@ -19,6 +19,8 @@ from sasm.refmachine import ref_run
 from sasm.tracing import propagation_machine, run_from_scratch
 from sasm.wf import check_wf
 
+from machine_checks import checked_run
+
 
 def ctx_for(prog):
     return DpsContext.for_program(prog)
@@ -278,9 +280,8 @@ def test_csa_boundary_proxy_no_violations_for_converted():
         s2 = store.copy()
         apply_edits(s2, labels, gen_edits(seed + 7, s2, labels,
                                           case.edit_slots, 2))
-        m = propagation_machine(prog, t1.trace, s2, debug=True)
-        m.run(400000)
-        assert m.csa_violations == [], seed
+        m = propagation_machine(prog, t1.trace, s2)
+        assert checked_run(m, 400000).csa_violations == [], seed
 
 
 def test_csa_boundary_proxy_detects_non_csa():
@@ -306,9 +307,8 @@ arity 0
     t1 = run_from_scratch(p, store.copy(), inputs=inputs)
     s2 = store.copy()
     s2.write(lc, 1, 9)
-    m = propagation_machine(p, t1.trace, s2, debug=True)
-    m.run()
-    assert m.csa_violations  # the re-popped vector changed
+    m = propagation_machine(p, t1.trace, s2)
+    assert checked_run(m).csa_violations  # the re-popped vector changed
 
 
 def test_a_long_builder_converts_and_checks_through_the_cli(tmp_path):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from sasm.cli import main
 from sasm.corpus import corpus_benchmarks, exptrees_fixture, gen_array_max, gen_list
 from sasm.dps import dps_convert_program
 from sasm.fuzz import gen_program
@@ -80,6 +81,25 @@ def test_missing_keyword_is_an_error_at_the_offending_token(word, src, line,
         parse_program(src)
     assert (exc.value.line, exc.value.col) == (line, col)
     assert f"expected {word!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("src,line,col", [
+    ("let x = prim add(², 1) in pop(x)\narity 1", 1, 18),
+    ("pop(1)\narity ²", 2, 7),
+    ("let x = prim add(1², 2) in pop(x)\narity 1", 1, 19),
+])
+def test_a_digit_that_is_not_decimal_is_an_unexpected_character(
+        tmp_path, capsys, src, line, col):
+    # str.isdigit takes '²', but int() does not.
+    path = tmp_path / "p.il"
+    path.write_text(src)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err \
+        == f"error: {path}: {line}:{col}: unexpected character '²'\n"
+
+
+def test_a_non_ascii_decimal_digit_is_an_integer():
+    assert parse_program("pop(١٢, ٣)\narity 2").entry.vals == (12, 3)
 
 
 def test_duplicate_names_uniquified_with_warning():
@@ -214,9 +234,10 @@ def _tokenize_per_character(src: str) -> list[Token]:
                 i += 1
             continue
         start_col = col
-        if c.isdigit() or (c == "-" and i + 1 < n and src[i + 1].isdigit()):
+        if c.isdecimal() or (c == "-" and i + 1 < n
+                             and src[i + 1].isdecimal()):
             j = i + 1
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             toks.append(Token("int", src[i:j], line, start_col))
             col += j - i

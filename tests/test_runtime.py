@@ -11,8 +11,8 @@ from sasm.corpus import (Edit, apply_edits, exptrees_fixture,
                          gen_array_max, gen_list)
 from sasm.cost import cost_vector
 from sasm.dps import dps_convert_program
-from sasm.errors import (FuelExhausted, StaleResult, Stuck, StuckRead,
-                         StuckWrite)
+from sasm.errors import (BrokenRuntime, FuelExhausted, StaleResult, Stuck,
+                         StuckRead, StuckWrite)
 from sasm.fuzz import gen_edits, gen_program
 from sasm.ilast import FunDef, number_exprs, walk_program
 from sasm.parser import parse_program
@@ -835,6 +835,43 @@ def test_propagate_reports_the_fuel_it_was_given():
     with pytest.raises(FuelExhausted) as exc:
         rt.propagate([(labels["arr"], 1, 999)], fuel=3)
     assert exc.value.fuel == 3
+
+
+def _runtime_after_fuel_runs_out():
+    bench = gen_list("map", 16, 3)
+    store, labels, inputs = bench.build()
+    rt = Runtime(bench.program, store, inputs=inputs)
+    with pytest.raises(FuelExhausted):
+        rt.propagate([(labels["c5"], 1, 77)], fuel=10)
+    return rt, labels["c5"], FuelExhausted
+
+
+def _runtime_after_a_stuck_read():
+    prog = parse_program(_UNGUARDED_READS["top-level"])
+    store = Store()
+    inp = store.alloc(1)
+    store.write(inp, 1, 5)
+    rt = Runtime(prog, store, inputs={"inp": inp})
+    with pytest.raises(Stuck) as exc:
+        rt.propagate([(inp, 1, 7)])
+    assert exc.value.family == "P.2"
+    return rt, inp, Stuck
+
+
+@pytest.mark.parametrize("failed", [_runtime_after_fuel_runs_out,
+                                    _runtime_after_a_stuck_read])
+def test_a_runtime_whose_propagate_raised_refuses_later_use(failed):
+    # The failed propagation left the run half re-evaluated: a later
+    # propagate would return a result that disagrees with a fresh run.
+    rt, loc, error = failed()
+    with pytest.raises(BrokenRuntime) as exc:
+        rt.propagate([])
+    assert type(exc.value.cause) is error
+    assert error.__name__ in str(exc.value)
+    with pytest.raises(BrokenRuntime):
+        rt.mark_dirty(loc, 1, 1)
+    with pytest.raises(BrokenRuntime):
+        rt.propagate([(loc, 1, 1)])
 
 
 _UNGUARDED_READS = {

@@ -20,21 +20,23 @@ from sasm.tracing import (EVAL_TAGS, PROP, BoundExceeded, Policy,
                           run_from_scratch)
 from sasm.analyses import live_vars
 
+from machine_checks import checked_run, scratch_machine
+
 
 def machine_for(prog, store=None, reuse=None, command=None, env=None,
-                policy=None, debug=False):
+                policy=None):
     store = store if store is not None else Store()
     live = live_vars(prog)
     return TracingMachine(
         store, env if env is not None else {d.fname: d for d in prog.defs},
         command if command is not None else prog.entry, reuse,
         fun_index=prog.fun_index(), live=live,
-        policy=policy or Policy(), debug=debug)
+        policy=policy or Policy())
 
 
 def test_push_gains_mark_and_frame():
     p = parse_program("let fun f(v) =\n pop(v)\npush f do pop(3)\narity 1")
-    m = machine_for(p, debug=True)
+    m = machine_for(p)
     assert m.step() == "E.6"  # top-level defs are pre-bound in the env
     assert m.ctx[0] is PUSH_MARK
     assert len(m.stack) == 1 and m.stack[0].fname == "f"
@@ -109,7 +111,7 @@ def test_from_scratch_trivial_pop_trace():
 def test_from_scratch_only_eval_tags(corpus):
     for bench in corpus:
         store, labels, inputs = bench.build()
-        t = run_from_scratch(bench.program, store, inputs=inputs, debug=True)
+        t = checked_run(scratch_machine(bench.program, store, inputs)).result
         assert all(tag in EVAL_TAGS for tag in t.log)
 
 
@@ -245,13 +247,12 @@ def test_general_consistency_dps_corpus(corpus):
 def test_stack_parametricity_instrumentation():
     bench = gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "b")
     store, labels, inputs = bench.build()
-    t1 = run_from_scratch(bench.program, store.copy(), inputs=inputs,
-                          debug=True)
+    first = checked_run(scratch_machine(bench.program, store.copy(), inputs))
     s2 = store.copy()
     apply_edits(s2, labels, [Edit("arr", 2, 0)])
-    m = propagation_machine(bench.program, t1.trace, s2, debug=True)
-    m.run()  # the debug assertions fire inside E.8/P.8 if violated
-    assert not m._mark_stacks  # every mark was consumed symmetrically
+    m = propagation_machine(bench.program, first.result.trace, s2)
+    # checked_run asserts at each E.8/P.8 that the rewind matches its mark.
+    assert not checked_run(m).marks  # every mark was consumed symmetrically
 
 
 REF_TO_TRACE = {"R.1": "E.0", "R.2": "E.0", "R.3": "E.0", "R.4": "E.0",
@@ -276,10 +277,10 @@ def test_traced_to_untraced_projection_segments():
     t1 = run_from_scratch(bench.program, store.copy(), inputs=inputs)
     s2 = store.copy()
     apply_edits(s2, labels, [Edit("arr", 2, 0)])
-    m = propagation_machine(bench.program, t1.trace, s2, debug=True)
-    m.run()
-    assert m.segments
-    for seg in m.segments:
+    m = propagation_machine(bench.program, t1.trace, s2)
+    segments = checked_run(m).segments
+    assert segments
+    for seg in segments:
         etags = [t for t in seg["tags"] if t.startswith("E") and t != "E.P"]
         c = RefConfig(store=seg["store"], stack=[], env=seg["env"],
                       command=seg["expr"])
