@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 # A value is a 64-bit integer literal or a variable name.
 Value = Union[int, str]
@@ -31,6 +31,8 @@ PRIMOP_ARITY = {name: (1 if name == "not" else 2) for name in PRIMOPS}
 
 def wrap64(n: int) -> int:
     """Wrap an integer into signed 64-bit range."""
+    if -(1 << 63) <= n <= (1 << 63) - 1:
+        return n
     n &= INT64_MASK
     return n - (1 << 64) if n > (1 << 63) - 1 else n
 
@@ -47,6 +49,15 @@ class Expr:
 
     pos: Optional[Pos] = field(default=None, kw_only=True)
     eid: int = field(default=-1, kw_only=True)
+    # The command's compiled steps (refmachine.compile_step), made on its
+    # first run: `rstep` the reference machine's, `tstep` the tracing
+    # engines'.  number_exprs drops them, and a copy leaves them behind:
+    # they run this node's operands and continuation, not the copy's.
+    rstep: Optional[Callable] = field(default=None, init=False, repr=False)
+    tstep: Optional[Callable] = field(default=None, init=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "rstep": None, "tstep": None}
 
 
 @dataclass(eq=False)
@@ -201,12 +212,13 @@ def walk_program(p: Program) -> Iterator[Expr]:
 
 
 def number_exprs(p: Program) -> Program:
-    """Assign stable pre-order expression ids and drop the stored step data.
-    Mutates in place, returns p.  Every producer of a program calls it after
-    building or editing one."""
+    """Assign stable pre-order expression ids and drop the stored step data
+    and compiled steps.  Mutates in place, returns p.  Every producer of a
+    program calls it after building or editing one."""
     n = 0
     for e in walk_program(p):
         e.eid = n
+        e.rstep = e.tstep = None
         n += 1
     p.step_data = None
     return p

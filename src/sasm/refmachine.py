@@ -8,14 +8,17 @@ terminating on an empty stack.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import ilast as A
-from .errors import DEFAULT_FUEL, FuelExhausted, Stuck
-from .store import Loc, MachineValue, Store, resolve, step_store
+from .errors import DEFAULT_FUEL, FuelExhausted, Stuck, StuckAlloc
+from .store import Loc, MachineValue, Store, classify, lookup, values
+from .trace import TAlloc, TMemo, TPop, TRead, TUpdate, TWrite
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
     """A stack frame <env, fname>; prints as the spec's <env-size, fname>."""
 
@@ -64,18 +67,6 @@ PRIMS = {
 }
 
 
-def apply_prim(op: str, args: list[MachineValue]) -> MachineValue:
-    prim = PRIMS.get(op)
-    if prim is None:
-        raise Stuck("R.2", f"unknown primitive {op!r}")
-    a = args[0]
-    b = args[1] if len(args) > 1 else None
-    if (type(a) is Loc or type(b) is Loc) and op != "eq" and op != "neq":
-        raise Stuck("R.2", "not of a location" if op == "not" else
-                    f"arithmetic on a location: {op}({a!r}, {b!r})")
-    return prim(a, b)
-
-
 def lookup_fun(env: dict, fname: str) -> A.FunDef:
     f = env.get(fname)
     if not isinstance(f, A.FunDef):
@@ -93,42 +84,162 @@ class RefConfig:
 
 TERMINATED = "terminated"
 
-
-def _fundef(env: dict, e: A.FunDef):  # R.1
-    env[e.fname] = e
-    return "R.1", env, e.cont
-
-
-def _primop(env: dict, e: A.PrimOp):  # R.2
-    env[e.var] = apply_prim(e.op, [resolve(env, v) for v in e.args])
-    return "R.2", env, e.cont
-
-
-def _if(env: dict, e: A.If):  # R.3 / R.4
-    if resolve(env, e.cond) != 0:
-        return "R.3", env, e.then
-    return "R.4", env, e.els
-
-
-def _app(env: dict, e: A.App):  # R.5
-    fdef = lookup_fun(env, e.fname)
-    if len(fdef.params) != len(e.args):
-        raise Stuck("R.5", f"{e.fname!r} takes {len(fdef.params)} args")
-    # Every argument is resolved before any parameter is bound, so that
-    # f(y, x) with parameters (x, y) swaps.
-    env.update(zip(fdef.params, [resolve(env, a) for a in e.args]))
-    return "R.5", env, fdef.body
+# The rule compilers: the IL's step semantics, written once.  Given a
+# command, a compiler returns its step, with its operands classified as
+# literals or variables and its primitive bound.  Without a LiveSet that is
+# the reference machine's step (R.1-R.8, R.10).  With one it is the tracing
+# engines': R.1-R.5, logged E.0, or a step recording a trace action
+# (E.1-E.5, E.7), where a memo or update point saves its `live.saved`
+# variables.  A step takes (store, env) and returns (rule tag, action or
+# None, env, next command); `store` needs only alloc, read and write
+# (S.1-S.3).  The machine owns its environment, so a step may mutate `env`
+# and return it; the one copy is made at a push (R.9/E.6), which stays with
+# each machine, as value commands do.  A step binds what it was compiled
+# from as default arguments, which cost a tuple slot each and read as
+# locals: a program's steps stay small and quick to make, which matters
+# where each command runs once, as in an input builder.
 
 
-# Rules R.1-R.5 by command type, the steps no engine records in a trace.
-# Each takes (env, command) and returns (rule tag, env, command).  The
-# running machine owns its environment: a rule may mutate the `env` it is
-# given and return it.  The one copy is made at a push (R.9/E.6), whose
-# frame keeps the environment its function sees after the pop.  The tracing
-# machine logs these steps as E.0; the Runtime takes them without recording
-# an action.
+def _fundef(e: A.FunDef, live):  # R.1
+    # A weak reference: the step is stored on its own node.
+    def step(store, env, fname=e.fname, node=weakref.ref(e), cont=e.cont):
+        env[fname] = node()
+        return "R.1", None, env, cont
+    return step
+
+
+def _primop(e: A.PrimOp, live):  # R.2
+    op, n = e.op, len(e.args)
+    prim, arity = PRIMS.get(op), A.PRIMOP_ARITY.get(op)
+    if prim is None or n != arity:
+        why = (f"unknown primitive {op!r}" if prim is None else
+               f"{op} takes {arity} operand{'s' * (arity > 1)}, got {n}")
+
+        def stuck(store, env, ops=classify(e.args)):
+            values(env, ops)
+            raise Stuck("R.2", why)
+        return stuck
+    a, b = (*e.args, None)[:2]  # b is None for the unary `not`
+
+    def step(store, env, a=a, av=type(a) is str, b=b, bv=type(b) is str,
+             prim=prim, var=e.var, cont=e.cont, op=op,
+             checked=op != "eq" and op != "neq"):  # they accept a location
+        x = lookup(env, a) if av else a
+        y = lookup(env, b) if bv else b
+        if checked and (type(x) is Loc or type(y) is Loc):
+            raise Stuck("R.2", "not of a location" if op == "not" else
+                        f"arithmetic on a location: {op}({x!r}, {y!r})")
+        env[var] = prim(x, y)
+        return "R.2", None, env, cont
+    return step
+
+
+def _if(e: A.If, live):  # R.3 / R.4
+    def step(store, env, a=e.cond, av=type(e.cond) is str, then=e.then,
+             els=e.els):
+        if (lookup(env, a) if av else a) != 0:
+            return "R.3", None, env, then
+        return "R.4", None, env, els
+    return step
+
+
+def _app(e: A.App, live):  # R.5
+    def step(store, env, fname=e.fname, ops=classify(e.args)):
+        fdef = lookup_fun(env, fname)
+        if len(fdef.params) != len(ops):
+            raise Stuck("R.5", f"{fname!r} takes {len(fdef.params)} args")
+        # Every argument is resolved before any parameter is bound, so that
+        # f(y, x) with parameters (x, y) swaps.
+        env.update(zip(fdef.params, values(env, ops)))
+        return "R.5", None, env, fdef.body
+    return step
+
+
+def _inst(e: A.Inst, live):  # R.6 via S.1-S.3, or E.1-E.3
+    ins, var, cont, traced = e.inst, e.var, e.cont, live is not None
+    t = type(ins)
+    if t is A.Read:
+        def read(store, env, a=ins.loc, av=type(ins.loc) is str, b=ins.off,
+                 bv=type(ins.off) is str, var=var, cont=cont, traced=traced,
+                 tag="E.2" if traced else "R.6/S.2"):
+            loc = lookup(env, a) if av else a
+            off = lookup(env, b) if bv else b
+            env[var] = v = store.read(loc, off)
+            return tag, TRead(v, loc, off) if traced else None, env, cont
+        return read
+    if t is A.Write:
+        def write(store, env, a=ins.loc, av=type(ins.loc) is str, b=ins.off,
+                  bv=type(ins.off) is str, c=ins.val, cv=type(ins.val) is str,
+                  var=var, cont=cont, traced=traced,
+                  tag="E.3" if traced else "R.6/S.3"):
+            loc = lookup(env, a) if av else a
+            off = lookup(env, b) if bv else b
+            v = lookup(env, c) if cv else c
+            env[var] = store.write(loc, off, v)
+            return tag, TWrite(v, loc, off) if traced else None, env, cont
+        return write
+    if t is A.Alloc:
+        def alloc(store, env, a=ins.size, av=type(ins.size) is str, var=var,
+                  cont=cont, traced=traced,
+                  tag="E.1" if traced else "R.6/S.1"):
+            n = lookup(env, a) if av else a
+            if type(n) is not int:
+                raise StuckAlloc(f"allocation size is a location: {n!r}")
+            env[var] = loc = store.alloc(n)
+            return tag, TAlloc(loc, n) if traced else None, env, cont
+        return alloc
+    raise TypeError(f"not an instruction: {ins!r}")
+
+
+def _memo(e: A.Memo, live):  # R.7, or E.4
+    if live is None:
+        return lambda store, env, body=e.body: ("R.7", None, env, body)
+
+    def step(store, env, eid=e.eid, names=live.saved[e.eid][0], body=e.body):
+        return ("E.4", TMemo(eid, tuple([(x, env[x]) for x in names])), env,
+                body)
+    return step
+
+
+def _update(e: A.Update, live):  # R.8, or E.5
+    if live is None:
+        return lambda store, env, body=e.body: ("R.8", None, env, body)
+
+    names, fnames = live.saved[e.eid]
+
+    def step(store, env, eid=e.eid, names=names, fnames=fnames, body=e.body):
+        return ("E.5", TUpdate(eid, tuple([(x, env[x]) for x in names]), body,
+                               fnames), env, body)
+    return step
+
+
+def _pop(e: A.Pop, live):  # R.10, or E.7
+    def step(store, env, ops=classify(e.vals), traced=live is not None):
+        v = values(env, ops)
+        return ("E.7", TPop(v), {}, Values(v)) if traced else (
+            "R.10", None, {}, Values(v))
+    return step
+
+
 CONTROL_RULES = {A.FunDef: _fundef, A.PrimOp: _primop, A.If: _if,
                  A.App: _app}
+RULES = {**CONTROL_RULES, A.Inst: _inst, A.Memo: _memo, A.Update: _update,
+         A.Pop: _pop}
+
+
+def compile_step(e, live=None) -> Callable:
+    """Command e's step, compiled once and stored on e: the reference
+    machine's (`e.rstep`), or with a LiveSet the tracing engines'
+    (`e.tstep`)."""
+    rule = RULES.get(type(e))
+    if rule is None:
+        raise Stuck("R" if live is None else "E", f"no rule for command {e!r}")
+    step = rule(e, live)
+    if live is None:
+        e.rstep = step
+    else:
+        e.tstep = step
+    return step
 
 
 def apply_frame(frame: Frame,
@@ -152,37 +263,18 @@ def ref_step(c: RefConfig) -> str:
     empty.  Raises Stuck when no rule applies.
     """
     cmd = c.command
-    if isinstance(cmd, Values):
+    if type(cmd) is Values:
         if not c.stack:
             return TERMINATED
         c.env, c.command = apply_frame(c.stack.pop(), cmd.vals)
         return "R.11"
-    e = cmd
-    rule = CONTROL_RULES.get(type(e))
-    if rule is not None:
-        tag, c.env, c.command = rule(c.env, e)
-        return tag
-    if isinstance(e, A.Inst):  # R.6 via S.1-S.3
-        v, s_tag, _ = step_store(c.store, c.env, e.inst)
-        c.env[e.var] = v
-        c.command = e.cont
-        return f"R.6/{s_tag}"
-    if isinstance(e, A.Memo):  # R.7
-        c.command = e.body
-        return "R.7"
-    if isinstance(e, A.Update):  # R.8
-        c.command = e.body
-        return "R.8"
-    if isinstance(e, A.Push):  # R.9
-        c.stack.append(Frame(dict(c.env), e.fname))
-        c.command = e.body
+    if type(cmd) is A.Push:  # R.9
+        c.stack.append(Frame(dict(c.env), cmd.fname))
+        c.command = cmd.body
         return "R.9"
-    if isinstance(e, A.Pop):  # R.10
-        vals = tuple(resolve(c.env, v) for v in e.vals)
-        c.env = {}
-        c.command = Values(vals)
-        return "R.10"
-    raise Stuck("R", f"no rule for command {e!r}")
+    tag, _, c.env, c.command = (cmd.rstep or compile_step(cmd))(c.store,
+                                                                 c.env)
+    return tag
 
 
 @dataclass
@@ -206,15 +298,21 @@ def ref_run(prog: A.Program, init_store: Store | None = None,
             keep_log: bool = True) -> RefResult:
     """Iterate ref_step from <init_store, empty stack, rho0, entry>."""
     store = init_store if init_store is not None else Store()
-    c = RefConfig(store=store, stack=[], env=initial_env(prog, inputs),
-                  command=prog.entry)
+    env, cmd, stack = initial_env(prog, inputs), prog.entry, []
     log: list[str] = []
     steps = 0
     while True:
-        tag = ref_step(c)
-        if tag == TERMINATED:
-            assert isinstance(c.command, Values)
-            return RefResult(c.command.vals, c.store, steps, log)
+        # ref_step, on the configuration's parts.
+        if type(cmd) is Values:
+            if not stack:
+                return RefResult(cmd.vals, store, steps, log)
+            env, cmd = apply_frame(stack.pop(), cmd.vals)
+            tag = "R.11"
+        elif type(cmd) is A.Push:
+            stack.append(Frame(dict(env), cmd.fname))
+            tag, cmd = "R.9", cmd.body
+        else:
+            tag, _, env, cmd = (cmd.rstep or compile_step(cmd))(store, env)
         steps += 1
         if keep_log:
             log.append(tag)
@@ -223,5 +321,5 @@ def ref_run(prog: A.Program, init_store: Store | None = None,
 
 
 __all__ = ["Frame", "Values", "RefConfig", "RefResult", "ref_step", "ref_run",
-           "apply_prim", "PRIMS", "CONTROL_RULES", "apply_frame", "initial_env",
-           "TERMINATED"]
+           "PRIMS", "CONTROL_RULES", "RULES", "compile_step", "apply_frame",
+           "initial_env", "TERMINATED"]

@@ -53,9 +53,8 @@ from . import ilast as A
 from .analyses import step_data
 from .errors import (DEFAULT_FUEL, BrokenRuntime, FuelExhausted,
                      StaleResult, Stuck, StuckRead, StuckWrite)
-from .refmachine import Frame, Values, apply_frame, initial_env
+from .refmachine import Frame, Values, apply_frame, compile_step, initial_env
 from .store import Loc, MachineValue, Store, UNINIT
-from .tracing import STEP_RULES, saved_env
 from .trace import (TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
                     Trace, from_list)
 
@@ -459,10 +458,11 @@ class Runtime:
 
     # -- memo matching -----------------------------------------------------------
 
-    def _find_match(self, memo: A.Memo, env: dict, cursor: TraceNode,
+    def _find_match(self, memo: TMemo, cursor: TraceNode,
                     region: Optional[TraceNode]):
-        var_items, _ = self._saved(env, memo.eid)
-        cands = self.memo_index.get((memo.eid, var_items))
+        """The first node from `cursor` on, in `region`, that starts with a
+        memo action equal to the one the memo step made."""
+        cands = self.memo_index.get((memo.eid, memo.env))
         if not cands:
             return None
         lo = self.om.key(cursor)
@@ -474,9 +474,6 @@ class Runtime:
             if lo <= key and (best is None or key < best[0]):
                 best = (key, node)
         return best[1] if best else None
-
-    def _saved(self, env: dict, eid: int):
-        return saved_env(env, *self.live.saved[eid])
 
     # -- window check (shared definition with the faithful policy) -----------------
 
@@ -521,54 +518,49 @@ class Runtime:
         self.at = after
         command: object = expr
 
-        while True:
-            if self.eval_steps >= fuel:
-                raise FuelExhausted(fuel)
-
-            e = command
-            rule = STEP_RULES.get(type(e))
-            if rule is not None:
-                traced, step = rule
-                if not traced:
-                    _, env, command = step(env, e)
-                    self.eval_steps += 1
-                    continue
-                if type(e) is A.Memo and not stack and cursor is not None:
-                    m = self._find_match(e, env, cursor, region)
-                    if m is not None:
-                        self.matches += 1
-                        self.eval_steps += 1  # E.P
-                        self._retire_interval(cursor, m)
-                        self._replay_window(m.prev)
+        steps = self.eval_steps
+        try:
+            while True:
+                if steps >= fuel:
+                    raise FuelExhausted(fuel)
+                e = command
+                if type(e) is Values:
+                    if not stack:
+                        # Session region pop: drain the leftover interval,
+                        # discard the values (the P.8 analogue), finish.
+                        if cursor is not None:
+                            self._retire_interval(cursor, region_end)
                         return
-                _, action, env, command = step(self, env, e, self._saved)
-                self._record(action, regions[-1])
-                self.eval_steps += 1
-                continue
-            if type(e) is Values:
-                if stack:
                     # E.8: close the innermost region, apply the frame.
                     begin = regions.pop()
                     endn = TraceNode("end")
                     begin.partner = endn
                     self._link(endn)
                     env, command = apply_frame(stack.pop(), e.vals)
-                    self.eval_steps += 1
-                    continue
-                # Session region pop: drain the leftover interval, discard
-                # the values (the P.8 analogue), finish.
-                if cursor is not None:
-                    self._retire_interval(cursor, region_end)
-                return
-            if type(e) is A.Push:
-                begin = TraceNode("begin")
-                self._link(begin)
-                regions.append(begin)
-                stack.append(Frame(dict(env), e.fname))
-                command = e.body
-                self.eval_steps += 1
-                continue
-            raise Stuck("E", f"no rule for command {e!r}")
+                elif type(e) is A.Push:
+                    begin = TraceNode("begin")
+                    self._link(begin)
+                    regions.append(begin)
+                    stack.append(Frame(dict(env), e.fname))
+                    command = e.body
+                else:
+                    _, action, env, command = (
+                        e.tstep or compile_step(e, self.live))(self, env)
+                    # A memo step changes nothing, so a match drops it.
+                    if (type(action) is TMemo and not stack
+                            and cursor is not None):
+                        m = self._find_match(action, cursor, region)
+                        if m is not None:
+                            self.matches += 1
+                            steps += 1  # E.P
+                            self._retire_interval(cursor, m)
+                            self._replay_window(m.prev)
+                            return
+                    if action is not None:
+                        self._record(action, regions[-1])
+                steps += 1
+        finally:
+            self.eval_steps = steps
 
     def _record(self, a, region: Optional[TraceNode]) -> None:
         """Append the traced action `a` after `at` and index it; a write

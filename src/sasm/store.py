@@ -130,36 +130,24 @@ class Store:
         return f"Store({len(self.sizes)} locs, {len(self.garbage)} garbage)"
 
 
-def resolve(env: dict, v: A.Value) -> MachineValue:
-    """The paper's rho(v): literals pass through, variables look up."""
-    if type(v) is int:
-        return v
+def lookup(env: dict, name: str) -> MachineValue:
+    """The paper's rho(x) for a variable x.  A literal is its own value, so
+    a compiled step looks up only the operands it classified as variables."""
     try:
-        return env[v]
+        return env[name]
     except KeyError:
-        raise StuckRead(f"unbound name {v!r}") from None
+        raise StuckRead(f"unbound name {name!r}") from None
 
 
-def step_store(store: Store, env: dict,
-               inst: A.Instruction) -> tuple[MachineValue, str, tuple]:
-    """Rules S.1-S.3: mutate the store; return (result value, rule tag,
-    resolved operands), the operands being (size,), (loc, off) or
-    (loc, off, val)."""
-    t = type(inst)
-    if t is A.Read:
-        loc, off = resolve(env, inst.loc), resolve(env, inst.off)
-        return store.read(loc, off), "S.2", (loc, off)
-    if t is A.Write:
-        ops = (resolve(env, inst.loc), resolve(env, inst.off),
-               resolve(env, inst.val))
-        return store.write(*ops), "S.3", ops
-    if t is A.Alloc:
-        size = resolve(env, inst.size)
-        if not isinstance(size, int):
-            raise StuckAlloc(f"allocation size is a location: {size!r}")
-        return store.alloc(size), "S.1", (size,)
-    raise TypeError(f"not an instruction: {inst!r}")
+def classify(vs: tuple[A.Value, ...]) -> tuple[tuple[A.Value, bool], ...]:
+    """A value vector, each operand paired with whether it is a variable."""
+    return tuple([(v, type(v) is str) for v in vs])
 
 
-__all__ = ["Loc", "MachineValue", "Store", "UNINIT", "step_store", "resolve",
-           "fmt_value"]
+def values(env: dict, ops: tuple[tuple[A.Value, bool], ...]) -> tuple:
+    """The values of a classified value vector."""
+    return tuple([lookup(env, v) if var else v for v, var in ops])
+
+
+__all__ = ["Loc", "MachineValue", "Store", "UNINIT", "classify",
+           "fmt_value", "lookup", "values"]

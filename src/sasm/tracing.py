@@ -13,7 +13,7 @@ Nondeterministic choices in the stepping relation are resolved by a policy:
   drained) and switches to propagation;
 * at an update action during propagation the machine re-evaluates exactly
   when the reads between the update and the next update/push/pop boundary
-  disagree with the current store (or always, under the Always policy);
+  disagree with the current store (or as `Policy.update_chooser` decides);
 * a leftover reuse trace is undone when the machine reaches a value command
   over an empty stack, so that rewinding to a propagation mark (or program
   completion) always sees an empty focus.
@@ -31,9 +31,8 @@ from typing import Callable, Optional
 from . import ilast as A
 from .analyses import LiveSet, step_data
 from .errors import DEFAULT_FUEL, FuelExhausted, Stuck
-from .refmachine import (CONTROL_RULES, Frame, Values, apply_frame,
-                         initial_env)
-from .store import Loc, MachineValue, Store, UNINIT, resolve, step_store
+from .refmachine import Frame, Values, apply_frame, compile_step, initial_env
+from .store import Loc, MachineValue, Store, UNINIT
 from .trace import (
     PUSH_MARK, PropMark, TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
     Trace, TraceZipper, UndoMark, rewind_to_mark,
@@ -85,54 +84,6 @@ class BalancedResult:
         return len(self.log)
 
 
-def saved_env(env: dict, names: tuple[str, ...], fnames: frozenset[str]):
-    """A memo or update point's saved environment: the values of the saved
-    variables `names`, in their order, and the function names."""
-    return tuple([(x, env[x]) for x in names]), fnames
-
-
-# Rules E.1-E.5 and E.7, the steps that record one trace action.  Each takes
-# (store, env, command, saved) and returns (rule tag, action, env, command).
-# Instructions go through S.1-S.3 on `store`, which needs only alloc, read
-# and write; `saved(env, eid)` gives a memo or update point's saved variables
-# and function names.  Memo matching and Push stay with the engine.
-def _inst(store, env: dict, e: A.Inst, saved):  # E.1-E.3
-    v, tag, ops = step_store(store, env, e.inst)
-    if tag == "S.2":
-        tag, action = "E.2", TRead(v, *ops)
-    elif tag == "S.3":
-        tag, action = "E.3", TWrite(ops[2], ops[0], ops[1])
-    else:
-        tag, action = "E.1", TAlloc(v, ops[0])
-    env[e.var] = v
-    return tag, action, env, e.cont
-
-
-def _memo(store, env: dict, e: A.Memo, saved):  # E.4
-    var_items, _ = saved(env, e.eid)
-    return "E.4", TMemo(e.eid, var_items), env, e.body
-
-
-def _update(store, env: dict, e: A.Update, saved):  # E.5
-    var_items, fnames = saved(env, e.eid)
-    return "E.5", TUpdate(e.eid, var_items, e.body, fnames), env, e.body
-
-
-def _pop(store, env: dict, e: A.Pop, saved):  # E.7
-    vals = tuple(resolve(env, v) for v in e.vals)
-    return "E.7", TPop(vals), {}, Values(vals)
-
-
-# Both tracing engines dispatch a command once, on its type: to an untraced
-# rule of CONTROL_RULES (traced False) or to a traced rule (traced True).
-# Push, value commands and memo matching stay with each engine.
-STEP_RULES = {
-    **{t: (False, rule) for t, rule in CONTROL_RULES.items()},
-    A.Inst: (True, _inst), A.Memo: (True, _memo),
-    A.Update: (True, _update), A.Pop: (True, _pop),
-}
-
-
 class TracingMachine:
     def __init__(self, store: Store, env: dict, command,
                  reuse: Trace = None, *,
@@ -154,7 +105,7 @@ class TracingMachine:
         # per machine step, then switches via E.P.  The depth counter keeps
         # the match at the top level: a drain may pass through nested
         # subtraces containing an identical memo action.
-        self._seek_target: tuple[int, tuple] | None = None
+        self._seek_target: Optional[TMemo] = None
         self._seek_depth = 0
 
     # -- helpers ---------------------------------------------------------
@@ -163,25 +114,21 @@ class TracingMachine:
         self.log.append(tag)
         return tag
 
-    def _saved(self, env: dict, eid: int):
-        return saved_env(env, *self.live.saved[eid])
-
     def zipper(self) -> TraceZipper:
         return TraceZipper(self.ctx, self.focus)
 
     # -- memo seeking ------------------------------------------------------
 
-    def seek_memo(self, memo: A.Memo):
+    def seek_memo(self, memo: TMemo) -> Optional[TMemo]:
         """Scan the focused reuse trace (top level, monotone forward) for a
-        matching memo action.  Returns the match key or None; performs no
-        undo steps itself."""
-        var_items, _ = self._saved(self.env, memo.eid)
+        memo action matching the one the memo step made.  Returns it or
+        None; performs no undo steps itself."""
         t = self.focus
         while t is not None:
             a, t = t
-            if isinstance(a, TMemo) and a.eid == memo.eid and a.env == var_items:
-                return (memo.eid, var_items)
-            if isinstance(a, TPop):
+            if type(a) is TMemo and a.eid == memo.eid and a.env == memo.env:
+                return a
+            if type(a) is TPop:
                 break
         return None
 
@@ -206,58 +153,21 @@ class TracingMachine:
             return self._emit("U.4")
         raise Stuck("U", "nothing to undo")
 
-    # -- evaluation steps --------------------------------------------------
-
-    def _eval_step(self, e: A.Expr) -> str:
-        if self._seek_target is not None:
-            eid, var_items = self._seek_target
-            head = self.focus[0] if self.focus is not None else None
-            if (self._seek_depth == 0 and type(head) is TMemo
-                    and head.eid == eid and head.env == var_items):
-                # E.P: matched; switch to propagation over the reused tail.
-                self._seek_target = None
-                self.ctx = (head, self.ctx)
-                self.focus = self.focus[1]
-                self.env = {}
-                self.command = PROP
-                return self._emit("E.P")
-            return self._undo_one()
-
-        t = type(e)
-        if t is A.Memo:
-            take = False
-            match = None
-            # Matches are only taken with no evaluation frames open: a match
-            # under an open frame would let the frame's rewind swallow the
-            # replayed tail into its push subtrace, restructuring the trace.
-            if not self.stack:
-                match = self.seek_memo(e)
-            if match is not None:
-                take = (self.policy.memo_chooser(True)
-                        if self.policy.memo_chooser else True)
-            if take:
-                self._seek_target = match
-                self._seek_depth = 0
-                return self._eval_step(e)
-
-        rule = STEP_RULES.get(t)
-        if rule is not None:
-            traced, step = rule
-            if not traced:
-                # E.0: the untraced steps are the reference machine's R.1-R.5.
-                _, self.env, self.command = step(self.env, e)
-                return self._emit("E.0")
-            tag, action, self.env, self.command = step(
-                self.store, self.env, e, self._saved)
-            self.ctx = (action, self.ctx)
-            return self._emit(tag)
-
-        if t is A.Push:
-            self.ctx = (PUSH_MARK, self.ctx)
-            self.stack.append(Frame(dict(self.env), e.fname))
-            self.command = e.body
-            return self._emit("E.6")
-        raise Stuck("E", f"no rule for command {e!r}")
+    def _seek_step(self) -> str:
+        """A step of a taken memo match: undo the reuse trace up to the
+        matching memo action, then switch to propagating after it."""
+        target = self._seek_target
+        head = self.focus[0] if self.focus is not None else None
+        if (self._seek_depth == 0 and type(head) is TMemo
+                and head.eid == target.eid and head.env == target.env):
+            # E.P: matched; switch to propagation over the reused tail.
+            self._seek_target = None
+            self.ctx = (head, self.ctx)
+            self.focus = self.focus[1]
+            self.env = {}
+            self.command = PROP
+            return self._emit("E.P")
+        return self._undo_one()
 
     # -- value-command steps -------------------------------------------------
 
@@ -375,12 +285,40 @@ class TracingMachine:
     # -- driver ------------------------------------------------------------
 
     def step(self) -> str:
-        cmd = self.command
-        if cmd is PROP:
+        e = self.command
+        if e is PROP:
             return self._prop_step()
-        if type(cmd) is Values:
-            return self._values_step(cmd)
-        return self._eval_step(cmd)
+        if type(e) is Values:
+            return self._values_step(e)
+        if self._seek_target is not None:
+            return self._seek_step()
+        if type(e) is A.Push:
+            self.ctx = (PUSH_MARK, self.ctx)
+            self.stack.append(Frame(dict(self.env), e.fname))
+            self.command = e.body
+            return self._emit("E.6")
+        tag, action, env, command = (
+            e.tstep or compile_step(e, self.live))(self.store, self.env)
+        if action is None:
+            # E.0: the untraced steps are the reference machine's R.1-R.5.
+            self.env, self.command = env, command
+            self.log.append("E.0")
+            return "E.0"
+        # Matches are only taken with no evaluation frames open: a match
+        # under an open frame would let the frame's rewind swallow the
+        # replayed tail into its push subtrace, restructuring the trace.
+        # A memo step changes nothing, so it is dropped for a match.
+        if type(action) is TMemo and not self.stack:
+            match = self.seek_memo(action)
+            if match is not None and (self.policy.memo_chooser(True)
+                                      if self.policy.memo_chooser else True):
+                self._seek_target = match
+                self._seek_depth = 0
+                return self._seek_step()
+        self.ctx = (action, self.ctx)
+        self.env, self.command = env, command
+        self.log.append(tag)
+        return tag
 
     def run(self, fuel: int = DEFAULT_FUEL) -> BalancedResult:
         step = self.step
@@ -624,6 +562,6 @@ __all__ = [
     "PROP", "TERMINATED", "Policy", "DEFAULT_POLICY", "BalancedResult",
     "TracingMachine", "run_from_scratch", "propagate", "non_garbage",
     "check_garbage_unreachable", "canonicalize", "canonical_result",
-    "enumerate_schedules", "BoundExceeded", "saved_env", "STEP_RULES",
+    "enumerate_schedules", "BoundExceeded",
     "EVAL_TAGS", "UNDO_TAGS",
 ]

@@ -2,7 +2,7 @@
 
 from sasm import analyses
 from sasm import ilast as A
-from sasm.analyses import live_vars, region_no_update, step_data
+from sasm.analyses import LiveSet, live_vars, region_no_update, step_data
 from sasm.cli import battery
 from sasm.corpus import (exptrees_fixture, gen_array_max, apply_edits, Edit,
                          corpus_benchmarks)
@@ -11,11 +11,11 @@ from sasm.errors import DEFAULT_FUEL
 from sasm.fuzz import _apply_shrink, _shrink_candidates, gen_program, gen_edits
 from sasm.ilast import Memo, Push, Update, walk_program
 from sasm.parser import parse_program
-from sasm.refmachine import ref_run
+from sasm.refmachine import RULES, ref_run
 from sasm.runtime import Runtime
 from sasm.store import Store
 from sasm.tracing import (Policy, propagate, propagation_machine,
-                          run_from_scratch, saved_env)
+                          run_from_scratch)
 
 from machine_checks import scratch_machine
 
@@ -158,29 +158,35 @@ arity 0
     assert not info.region_no_update(push.eid)
 
 
-def test_monotone_memo_matching_live_vs_full(corpus):
+def test_monotone_memo_matching_live_vs_full(corpus, monkeypatch):
     """Restricting saved environments to live names never loses a match:
     match counts under the live policy are at least those under full envs."""
-    bench = gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "b")
-    store, labels, inputs = bench.build()
 
-    fns = step_data(bench.program)[1].fn_names
-
-    def full_saved(env, eid):
-        """Every bound variable and function name, not only the live ones."""
-        return saved_env(env, sorted(env.keys() - fns), frozenset(env) & fns)
+    def saving_all(compile_point):
+        """A memo or update compiler whose point saves every bound variable
+        and function name, not only the live ones."""
+        def compile_full(e, live):
+            def step(store, env):
+                full = LiveSet({}, live.fn_names, {e.eid: (
+                    tuple(sorted(env.keys() - live.fn_names)),
+                    frozenset(env) & live.fn_names)})
+                return compile_point(e, full)(store, env)
+            return step
+        return compile_full
 
     def matches(full_env: bool) -> int:
-        def saving(m):
+        # A fresh program each time: its steps are compiled on first run.
+        bench = gen_array_max([2, 9, 3, 5, 4, 7, 1, 6], "b")
+        store, labels, inputs = bench.build()
+        with monkeypatch.context() as m:
             if full_env:
-                m._saved = full_saved
-            return m
-
-        t1 = saving(scratch_machine(bench.program, store.copy(), inputs)).run()
-        s2 = store.copy()
-        apply_edits(s2, labels, [Edit("arr", 2, 0)])
-        m2 = saving(propagation_machine(bench.program, t1.trace, s2))
-        return m2.run().log.count("E.P")
+                for t in (Memo, Update):
+                    m.setitem(RULES, t, saving_all(RULES[t]))
+            t1 = scratch_machine(bench.program, store.copy(), inputs).run()
+            s2 = store.copy()
+            apply_edits(s2, labels, [Edit("arr", 2, 0)])
+            m2 = propagation_machine(bench.program, t1.trace, s2)
+            return m2.run().log.count("E.P")
 
     assert matches(full_env=False) >= matches(full_env=True)
 

@@ -1,13 +1,14 @@
 """The rule-tag logs and Runtime counts of the corpus and of fuzzed programs,
 pinned by SHA-256 digest.
 
-The reference machine, the tracing machine and the Runtime step through the
-same rules (`CONTROL_RULES`, `STEP_RULES`, `store.step_store`, the primitive
-table and the saved environments), so the differential oracles, which
-compare one engine with another, cannot see a drift in those rules.  These
-digests can: a change to any rule's result, tag or order changes a log.
-Each digest is the first 16 hex digits of the SHA-256 of the lines `_runs`
-yields; a deliberate change to the semantics must recompute them.
+The reference machine, the tracing machine and the Runtime take the steps
+that the same rule compilers make (`refmachine.RULES`, with the operand
+compilers of `store.py`, the primitive table and the saved environments), so
+the differential oracles, which compare one engine with another, cannot see
+a drift in those rules.  These digests can: a change to any rule's result,
+tag or order changes a log.  Each digest is the first 16 hex digits of the
+SHA-256 of the lines `_runs` yields; a deliberate change to the semantics
+must recompute them.
 """
 
 import hashlib

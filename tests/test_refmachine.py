@@ -1,18 +1,34 @@
 import pytest
 
+from sasm.analyses import LiveSet
 from sasm.errors import FuelExhausted, Stuck, StuckRead
-from sasm.ilast import PRIMOPS, Alloc, Read, Write
+from sasm.ilast import PRIMOPS, Alloc, Inst, Pop, PrimOp, Read, Write
 from sasm.parser import parse_program
-from sasm.refmachine import (PRIMS, RefConfig, Values, apply_prim, ref_run,
+from sasm.refmachine import (PRIMS, RefConfig, Values, compile_step, ref_run,
                              ref_step)
-from sasm.store import Loc, Store, UNINIT, step_store
+from sasm.store import Loc, Store, UNINIT
+from sasm.trace import TAlloc, TRead, TWrite
+
+NO_POINTS = LiveSet({}, frozenset(), {})
+
+
+def step_inst(store, env, inst):
+    """An instruction's compiled steps, run on `store` and on a copy: the
+    reference machine's rule tag and value, and the tracing engines' action,
+    which records the operands that S.1-S.3 resolved."""
+    e = Inst(var="r", inst=inst, cont=Pop(vals=("r",)))
+    traced_store = store.copy()
+    tag, action, env2, _ = compile_step(e)(store, dict(env))
+    assert action is None
+    _, traced, _, _ = compile_step(e, NO_POINTS)(traced_store, dict(env))
+    return env2["r"], tag, traced
 
 
 def test_alloc_marks_offsets_uninitialized():
     store = Store()
-    v, tag, ops = step_store(store, {"x": 3}, Alloc(size="x"))
-    assert tag == "S.1" and isinstance(v, Loc)
-    assert ops == (3,)
+    v, tag, action = step_inst(store, {"x": 3}, Alloc(size="x"))
+    assert tag == "R.6/S.1" and isinstance(v, Loc)
+    assert action == TAlloc(v, 3)
     assert all(store.peek(v, i) is UNINIT for i in (1, 2, 3))
     assert store.peek(v, 4) is None
 
@@ -21,10 +37,10 @@ def test_write_then_read_roundtrips():
     store = Store()
     loc = store.alloc(2)
     env = {"l": loc, "v": 7}
-    assert step_store(store, env, Write(loc="l", off=1, val="v")) \
-        == (0, "S.3", (loc, 1, 7))
-    assert step_store(store, env, Read(loc="l", off=1)) \
-        == (7, "S.2", (loc, 1))
+    assert step_inst(store, env, Write(loc="l", off=1, val="v")) \
+        == (0, "R.6/S.3", TWrite(7, loc, 1))
+    assert step_inst(store, env, Read(loc="l", off=1)) \
+        == (7, "R.6/S.2", TRead(7, loc, 1))
 
 
 def test_read_of_uninitialized_entry_is_stuck():
@@ -179,6 +195,14 @@ PRIM_CASES = [
     ("max", L, 2, (R2, "arithmetic on a location: max(ℓ3, 2)")),
     ("min", 2, L, (R2, "arithmetic on a location: min(2, ℓ3)")),
 ]
+
+
+def apply_prim(op, args):
+    """A primitive's compiled step on operands bound to variables."""
+    names = ("a", "b")[:len(args)]
+    e = PrimOp(var="r", op=op, args=names, cont=Pop(vals=("r",)))
+    _, _, env, _ = compile_step(e)(Store(), dict(zip(names, args)))
+    return env["r"]
 
 
 @pytest.mark.parametrize("op, a, b, want", PRIM_CASES)
