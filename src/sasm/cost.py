@@ -5,7 +5,10 @@ the left fold of the transition over the rule tags in order.  Concrete
 models: step count, store usage (allocs, reads, writes), stack usage
 (pushes, pops, height, max height) and the tracing partition
 (evaluation, propagation, undo), whose realized cost is evaluation plus undo
-steps (propagation replay is free in the efficient runtime).
+steps (propagation replay is free in the efficient runtime).  `cost_vector`
+gives all four from one count of the log's tags; the folds that define them
+are written out in `tests/cost_folds.py`, and `tests/test_cost.py` checks
+`cost_vector` against them.
 
 The stack model charges the pop at the frame application (R.11/E.8), not at
 the pop expression (R.10/E.7), which merely forms the value vector one step
@@ -17,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Iterable
 
 REF_TAGS = frozenset(
     ["R.1", "R.2", "R.3", "R.4", "R.5", "R.6/S.1", "R.6/S.2", "R.6/S.3",
@@ -33,85 +36,11 @@ class UnknownTag(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class CostModel:
-    name: str
-    zero: object
-    gamma: Callable[[str, object], object]
-
-
-def _check(tag: str) -> None:
-    if tag not in ALL_TAGS:
-        raise UnknownTag(tag)
-
-
-def _steps(tag: str, n: int) -> int:
-    _check(tag)
-    return n + 1
-
-
-M_STEPS = CostModel("M_s", 0, _steps)
-
 _ALLOC = {"R.6/S.1", "E.1", "P.1"}
 _READ = {"R.6/S.2", "E.2", "P.2"}
 _WRITE = {"R.6/S.3", "E.3", "P.3"}
-
-
-def _store(tag: str, c: tuple[int, int, int]):
-    _check(tag)
-    a, r, w = c
-    if tag in _ALLOC:
-        return (a + 1, r, w)
-    if tag in _READ:
-        return (a, r + 1, w)
-    if tag in _WRITE:
-        return (a, r, w + 1)
-    return c
-
-
-M_STORE = CostModel("M_sigma", (0, 0, 0), _store)
-
 _PUSH = {"R.9", "E.6"}
 _POP = {"R.11", "E.8"}
-
-
-def _stack(tag: str, c: tuple[int, int, int, int]):
-    _check(tag)
-    u, d, h, m = c
-    if tag in _PUSH:
-        return (u + 1, d, h + 1, max(m, h + 1))
-    if tag in _POP:
-        return (u, d + 1, h - 1, m)
-    return c
-
-
-M_STACK = CostModel("M_kappa", (0, 0, 0, 0), _stack)
-
-
-def _tracing(tag: str, c: tuple[int, int, int]):
-    _check(tag)
-    e, p, u = c
-    if tag.startswith("E"):
-        return (e + 1, p, u)
-    if tag.startswith("P"):
-        return (e, p + 1, u)
-    if tag.startswith("U"):
-        return (e, p, u + 1)
-    return c  # reference tags carry no tracing classification
-
-
-M_TRACING = CostModel("M_t", (0, 0, 0), _tracing)
-
-
-def cost_apply(model: CostModel, tag: str, cost):
-    return model.gamma(tag, cost)
-
-
-def cost_of_run(log: Iterable[str], model: CostModel):
-    cost = model.zero
-    for tag in log:
-        cost = model.gamma(tag, cost)
-    return cost
 
 
 @dataclass
@@ -146,9 +75,9 @@ _HEIGHT = {**dict.fromkeys(_PUSH, 1), **dict.fromkeys(_POP, -1)}
 def cost_vector(log: Iterable[str]) -> CostVector:
     """The four models' costs, counted in one pass over the log's tags.
 
-    Each entry equals the model's fold (`cost_of_run`): steps, store and
-    tracing costs are tag counts, and the stack's max height m is the
-    largest prefix sum of +1 per push and -1 per pop, starting at 0."""
+    Each entry equals the model's fold: steps, store and tracing costs are
+    tag counts, and the stack's max height m is the largest prefix sum of +1
+    per push and -1 per pop, starting at 0."""
     log = list(log)
     n = Counter(log)
     if n.keys() - ALL_TAGS:
@@ -244,7 +173,6 @@ def max_pop_arity(prog) -> int:
     return worst
 
 
-__all__ = ["CostModel", "CostVector", "M_STEPS", "M_STORE", "M_STACK",
-           "M_TRACING", "cost_apply", "cost_of_run", "cost_vector",
-           "check_dps_overhead", "DpsOverheadReport", "BoundViolated",
-           "UnknownTag", "REF_TAGS", "TRACE_TAGS", "max_pop_arity"]
+__all__ = ["CostVector", "cost_vector", "check_dps_overhead",
+           "DpsOverheadReport", "BoundViolated", "UnknownTag", "REF_TAGS",
+           "TRACE_TAGS", "max_pop_arity"]

@@ -196,8 +196,10 @@ def _memo(e: A.Memo, live):  # R.7, or E.4
         return lambda store, env, body=e.body: ("R.7", None, env, body)
 
     def step(store, env, eid=e.eid, names=live.saved[e.eid][0], body=e.body):
-        return ("E.4", TMemo(eid, tuple([(x, env[x]) for x in names])), env,
-                body)
+        # ρ|live: the live names env binds; a name unbound here (only in a
+        # program check_wf rejects) is left out.
+        return ("E.4", TMemo(eid, tuple([(x, env[x]) for x in names
+                                         if x in env])), env, body)
     return step
 
 
@@ -208,8 +210,9 @@ def _update(e: A.Update, live):  # R.8, or E.5
     names, fnames = live.saved[e.eid]
 
     def step(store, env, eid=e.eid, names=names, fnames=fnames, body=e.body):
-        return ("E.5", TUpdate(eid, tuple([(x, env[x]) for x in names]), body,
-                               fnames), env, body)
+        return ("E.5", TUpdate(eid, tuple([(x, env[x]) for x in names
+                                           if x in env]), body, fnames),
+                env, body)
     return step
 
 

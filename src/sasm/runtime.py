@@ -26,20 +26,22 @@ whose re-evaluation re-runs it), unless a bracket or the head comes first.
 The trace is its own order-maintenance list: a node's integer label is its
 timestamp.  An entry's history indexes the trace's own reads and writes and
 bisects on their nodes' live labels, in C; relabeling keeps trace order, so
-there is nothing to refresh, and each read, write or retirement searches its
-history once.  New nodes are inserted between the re-evaluated update point
-and the doomed old interval, so a history lookup at a new node's time sees
-exactly the store the faithful machine would see at that replay moment
-(earlier writes included, unreplayed and later writes excluded).
+there is nothing to refresh.  A write or a retirement searches its entry's
+history once; a read searches it twice, once for its value (`_value_now`)
+and once more to index it (`_record`).  New nodes are inserted between the
+re-evaluated update point and the doomed old interval, so a history lookup
+at a new node's time sees exactly the store the faithful machine would see
+at that replay moment (earlier writes included, unreplayed and later writes
+excluded).
 
 A propagation costs what changed, not the whole run: its result carries the
 values and counts, kept up to date as nodes are linked and unlinked, and
 builds its trace and store only when they are first read.  They are valid
 until the Runtime's next edit; a later read raises StaleResult.
 
-The behavior mirrors the faithful tracing machine under the default policy;
-tests assert equality of values, live store, flattened trace and the set of
-re-evaluated update points over the corpus and fuzzed edit batches.
+The behavior mirrors the faithful tracing machine; tests assert equality of
+values, live store, flattened trace and the set of re-evaluated update
+points over the corpus and fuzzed edit batches.
 """
 
 from __future__ import annotations
@@ -123,10 +125,6 @@ class OrderMaintenance:
             h.prev.next = h.next
         if h.next is not None:
             h.next.prev = h.prev
-
-    def compare(self, a: OMHandle, b: OMHandle) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return -1 if ka < kb else (1 if ka > kb else 0)
 
     def key(self, h: OMHandle) -> int:
         if not h.alive:
@@ -475,7 +473,7 @@ class Runtime:
                 best = (key, node)
         return best[1] if best else None
 
-    # -- window check (shared definition with the faithful policy) -----------------
+    # -- window check (shared definition with the faithful machine) ----------------
 
     def window_dirty(self, node: TraceNode) -> Optional[tuple]:
         """The first read after `node` up to the next update/push/pop

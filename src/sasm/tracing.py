@@ -5,18 +5,23 @@ replay a previously recorded trace (change propagation), re-evaluating from
 update points whose guarded reads became inconsistent and reusing matching
 memo points.
 
-Nondeterministic choices in the stepping relation are resolved by a policy:
+The stepping relation is nondeterministic; the machine resolves each choice
+one way:
 
 * at a memo expression the machine searches the focused reuse trace for a
-  matching memo action, scanning its top-level actions monotonically forward;
-  taking a match undoes everything before it (whole nested subtraces are
-  drained) and switches to propagation;
+  matching memo action, scanning its top-level actions monotonically forward,
+  and takes any match it finds: taking a match undoes everything before it
+  (whole nested subtraces are drained) and switches to propagation;
 * at an update action during propagation the machine re-evaluates exactly
   when the reads between the update and the next update/push/pop boundary
-  disagree with the current store (or as `Policy.update_chooser` decides);
+  disagree with the current store;
 * a leftover reuse trace is undone when the machine reaches a value command
   over an empty stack, so that rewinding to a propagation mark (or program
   completion) always sees an empty focus.
+
+`seek_memo` and `window_dirty` are the only two choice points; the schedule
+enumerator in `tests/machine_checks.py` explores the other resolutions by
+wrapping them on its own machine instance.
 
 Every step appends one rule tag to the log; realized cost is the number of
 evaluation plus undo steps.
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from . import ilast as A
 from .analyses import LiveSet, step_data
@@ -54,25 +59,6 @@ UNDO_TAGS = frozenset(["U.1", "U.2", "U.3", "U.4"])
 
 
 @dataclass
-class Policy:
-    """Resolves the machine's nondeterminism.
-
-    By default the machine takes every available memo match and
-    re-evaluates an update point only when its lookahead window contains an
-    inconsistent read.  The optional choosers override these defaults:
-    memo_chooser(match_found) decides whether to take an available match,
-    update_chooser(is_dirty) whether to re-evaluate (so
-    `update_chooser=lambda dirty: True` re-evaluates every update point).
-    """
-
-    memo_chooser: Optional[Callable[[bool], bool]] = None
-    update_chooser: Optional[Callable[[bool], bool]] = None
-
-
-DEFAULT_POLICY = Policy()
-
-
-@dataclass
 class BalancedResult:
     values: tuple[MachineValue, ...]
     store: Store
@@ -88,8 +74,7 @@ class TracingMachine:
     def __init__(self, store: Store, env: dict, command,
                  reuse: Trace = None, *,
                  fun_index: dict[str, A.FunDef],
-                 live: LiveSet,
-                 policy: Policy = DEFAULT_POLICY):
+                 live: LiveSet):
         self.store = store
         self.ctx = None
         self.focus: Trace = reuse
@@ -98,7 +83,6 @@ class TracingMachine:
         self.command = command
         self.fun_index = fun_index
         self.live = live
-        self.policy = policy
         self.log: list[str] = []
         self.final_trace: Trace = None
         # Pending composite ops: a memo match drains the prefix one undo step
@@ -255,10 +239,7 @@ class TracingMachine:
             self.focus = tail
             return self._emit("P.4")
         if t is TUpdate:
-            reeval = self.window_dirty(tail)
-            if self.policy.update_chooser is not None:
-                reeval = self.policy.update_chooser(reeval)
-            if reeval:
+            if self.window_dirty(tail):
                 env = dict(a.env)
                 env.update((f, self.fun_index[f]) for f in a.fnames)
                 self.ctx = (a, self.ctx)
@@ -310,8 +291,7 @@ class TracingMachine:
         # A memo step changes nothing, so it is dropped for a match.
         if type(action) is TMemo and not self.stack:
             match = self.seek_memo(action)
-            if match is not None and (self.policy.memo_chooser(True)
-                                      if self.policy.memo_chooser else True):
+            if match is not None:
                 self._seek_target = match
                 self._seek_depth = 0
                 return self._seek_step()
@@ -339,14 +319,13 @@ class TracingMachine:
 
 def run_from_scratch(prog: A.Program, store: Store | None = None,
                      inputs: dict[str, MachineValue] | None = None,
-                     fuel: int = DEFAULT_FUEL,
-                     policy: Policy = DEFAULT_POLICY) -> BalancedResult:
+                     fuel: int = DEFAULT_FUEL) -> BalancedResult:
     """Evaluate from an empty trace; the resulting trace is from-scratch
     consistent by construction."""
     store = store if store is not None else Store()
     fun_index, live = step_data(prog)
     m = TracingMachine(store, initial_env(prog, inputs), prog.entry, None,
-                       fun_index=fun_index, live=live, policy=policy)
+                       fun_index=fun_index, live=live)
     return m.run(fuel)
 
 
@@ -363,8 +342,8 @@ def _max_loc_id(t: Trace) -> int:
     return worst
 
 
-def propagation_machine(prog: A.Program, reuse: Trace, store: Store,
-                        policy: Policy = DEFAULT_POLICY) -> TracingMachine:
+def propagation_machine(prog: A.Program, reuse: Trace,
+                        store: Store) -> TracingMachine:
     """A machine set up to replay a from-scratch trace over a (possibly
     edited) initial store.
 
@@ -375,13 +354,12 @@ def propagation_machine(prog: A.Program, reuse: Trace, store: Store,
     store.reserve(_max_loc_id(reuse))
     fun_index, live = step_data(prog)
     return TracingMachine(store, {}, PROP, reuse, fun_index=fun_index,
-                          live=live, policy=policy)
+                          live=live)
 
 
 def propagate(prog: A.Program, reuse: Trace, store: Store,
-              fuel: int = DEFAULT_FUEL,
-              policy: Policy = DEFAULT_POLICY) -> BalancedResult:
-    return propagation_machine(prog, reuse, store, policy).run(fuel)
+              fuel: int = DEFAULT_FUEL) -> BalancedResult:
+    return propagation_machine(prog, reuse, store).run(fuel)
 
 
 def non_garbage(store: Store) -> Store:
@@ -495,73 +473,9 @@ def canonical_result(result: BalancedResult,
     return canonicalize(result.values, result.trace, result.store, initial_store)
 
 
-# -- schedule enumeration -------------------------------------------------------
-
-
-class BoundExceeded(Exception):
-    pass
-
-
-def enumerate_schedules(prog: A.Program, store: Store, bound: int = 2000,
-                        reuse: Trace = None,
-                        inputs: dict[str, MachineValue] | None = None):
-    """Exhaust the machine's nondeterminism on a tiny program.
-
-    Explores every take/skip choice at memo matches (E.P vs E.4) and every
-    re-evaluate/skip choice at update actions during propagation (P.E vs
-    P.5).  Returns the set of observable outcomes as canonical
-    (values, non-garbage store) fingerprints; stuck schedules contribute no
-    outcome.
-    """
-    fun_index, live = step_data(prog)
-    outcomes = set()
-    worklist: list[tuple[bool, ...]] = [()]
-    seen: set[tuple[bool, ...]] = set()
-
-    while worklist:
-        script = worklist.pop()
-        if script in seen:
-            continue
-        seen.add(script)
-        if len(script) > 14:
-            raise BoundExceeded("more than 14 choice points")
-        used = 0
-
-        def choose(_flag: bool) -> bool:
-            nonlocal used
-            v = script[used] if used < len(script) else True
-            used += 1
-            return v
-
-        policy = Policy(memo_chooser=choose, update_chooser=choose)
-        s = store.copy()
-        if reuse is not None:
-            m = propagation_machine(prog, reuse, s, policy)
-        else:
-            m = TracingMachine(s, initial_env(prog, inputs), prog.entry,
-                               None, fun_index=fun_index, live=live,
-                               policy=policy)
-        try:
-            result = m.run(fuel=bound)
-        except FuelExhausted:
-            raise BoundExceeded(f"run exceeded {bound} steps") from None
-        except Stuck:
-            result = None
-        if used > len(script):
-            # The run hit choice points beyond the script: branch on the next.
-            worklist.append(script + (True,))
-            worklist.append(script + (False,))
-        elif result is not None:
-            cv, _, items = canonicalize(result.values, None, result.store,
-                                        initial_store=store)
-            outcomes.add((cv, items))
-    return outcomes
-
-
 __all__ = [
-    "PROP", "TERMINATED", "Policy", "DEFAULT_POLICY", "BalancedResult",
-    "TracingMachine", "run_from_scratch", "propagate", "non_garbage",
+    "PROP", "TERMINATED", "BalancedResult", "TracingMachine",
+    "run_from_scratch", "propagate", "non_garbage",
     "check_garbage_unreachable", "canonicalize", "canonical_result",
-    "enumerate_schedules", "BoundExceeded",
     "EVAL_TAGS", "UNDO_TAGS",
 ]

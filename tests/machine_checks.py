@@ -14,6 +14,10 @@ lemmas say of it:
 * each P.E re-evaluation segment records its start configuration and the
   evaluation, undo and E.P tags that follow it, for replay on the
   reference machine.
+
+`enumerate_schedules` explores the machine's other resolutions of its two
+choice points, `seek_memo` and `window_dirty`, by wrapping them on each
+machine it runs.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from sasm.analyses import step_data
-from sasm.errors import DEFAULT_FUEL, FuelExhausted
+from sasm.errors import DEFAULT_FUEL, FuelExhausted, Stuck
 from sasm.refmachine import Values, initial_env
 from sasm.store import Store
 from sasm.trace import TPop, last_action
 from sasm.tracing import (EVAL_TAGS, PROP, TERMINATED, UNDO_TAGS,
-                          BalancedResult, TracingMachine)
+                          BalancedResult, TracingMachine, canonicalize,
+                          propagation_machine)
 
 
 class CheckedRun(NamedTuple):
@@ -91,3 +96,68 @@ def scratch_machine(prog, store: Store | None = None,
     fun_index, live = step_data(prog)
     return TracingMachine(store, initial_env(prog, inputs), prog.entry, None,
                           fun_index=fun_index, live=live)
+
+
+class BoundExceeded(Exception):
+    pass
+
+
+def enumerate_schedules(prog, store: Store, bound: int = 2000, reuse=None,
+                        inputs: dict | None = None) -> tuple[set, int]:
+    """Exhaust the machine's nondeterminism on a tiny program.
+
+    Explores every take/skip choice at memo matches (E.P vs E.4) and every
+    re-evaluate/skip choice at update actions during propagation (P.E vs
+    P.5).  Returns the set of observable outcomes as canonical
+    (values, non-garbage store) fingerprints, and the number of schedules
+    run; stuck schedules contribute no outcome.
+    """
+    outcomes = set()
+    worklist: list[tuple[bool, ...]] = [()]
+    seen: set[tuple[bool, ...]] = set()
+
+    while worklist:
+        script = worklist.pop()
+        if script in seen:
+            continue
+        seen.add(script)
+        if len(script) > 14:
+            raise BoundExceeded("more than 14 choice points")
+        used = 0
+
+        def choose() -> bool:
+            nonlocal used
+            v = script[used] if used < len(script) else True
+            used += 1
+            return v
+
+        s = store.copy()
+        if reuse is not None:
+            m = propagation_machine(prog, reuse, s)
+        else:
+            m = scratch_machine(prog, s, inputs)
+
+        def seek_memo(memo, seek=m.seek_memo):
+            match = seek(memo)
+            return match if match is not None and choose() else None
+
+        def window_dirty(tail, dirty=m.window_dirty):
+            dirty(tail)
+            return choose()
+
+        m.seek_memo, m.window_dirty = seek_memo, window_dirty
+        try:
+            result = m.run(fuel=bound)
+        except FuelExhausted:
+            raise BoundExceeded(f"run exceeded {bound} steps") from None
+        except Stuck:
+            result = None
+        if used > len(script):
+            # The run hit choice points beyond the script: branch on the next.
+            worklist.append(script + (True,))
+            worklist.append(script + (False,))
+        elif result is not None:
+            cv, _, items = canonicalize(result.values, None, result.store,
+                                        initial_store=store)
+            outcomes.add((cv, items))
+    return outcomes, len(seen)

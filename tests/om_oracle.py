@@ -6,8 +6,15 @@ O(cap + number of chunks) instead of the O(n) of a plain list, so 1e5
 operations take seconds, not minutes.  It never looks at the handles, so it
 does not depend on `OrderMaintenance`.  `len` and `[k]` make it a sequence:
 `random.choice` over it draws the same numbers and picks the same handle as
-over the plain list it stands for.
+over the plain list it stands for.  `key_order` compares two handles of an
+order-maintenance list by their keys.
 """
+
+
+def key_order(om, a, b):
+    """-1, 0 or 1 as `om.key(a)` is below, equal to or above `om.key(b)`."""
+    ka, kb = om.key(a), om.key(b)
+    return (ka > kb) - (ka < kb)
 
 
 class NaiveOrder:

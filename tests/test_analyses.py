@@ -1,5 +1,7 @@
 """Live-variable and update-reachability analyses."""
 
+import pytest
+
 from sasm import analyses
 from sasm import ilast as A
 from sasm.analyses import LiveSet, live_vars, region_no_update, step_data
@@ -14,8 +16,8 @@ from sasm.parser import parse_program
 from sasm.refmachine import RULES, ref_run
 from sasm.runtime import Runtime
 from sasm.store import Store
-from sasm.tracing import (Policy, propagate, propagation_machine,
-                          run_from_scratch)
+from sasm.trace import TMemo, TUpdate, iter_chain
+from sasm.tracing import propagation_machine, run_from_scratch
 
 from machine_checks import scratch_machine
 
@@ -79,8 +81,27 @@ def test_memo_update_envs_never_miss_a_needed_name(corpus):
         if bench.edit_slots:
             apply_edits(s2, labels,
                         gen_edits(3, s2, labels, bench.edit_slots, 2))
-        propagate(prog, t1.trace, s2,  # re-evaluate every update point
-                  policy=Policy(update_chooser=lambda dirty: True))
+        m = propagation_machine(prog, t1.trace, s2)
+        m.window_dirty = lambda tail: True  # re-evaluate every update point
+        m.run()
+
+
+@pytest.mark.parametrize("point", ["memo", "update"])
+def test_a_saved_env_leaves_out_a_live_name_that_is_unbound(point):
+    """ρ|live keeps only the live names ρ binds: `x` is live at the point
+    but unbound (check_wf rejects the program), and the branch taken never
+    reads it, so every engine returns what the reference machine does."""
+    prog = parse_program(f"let c = prim add(0, 0) in\n{point}\n"
+                         "if c then pop(x) else pop(1)\narity 1")
+    assert "x" in live_vars(prog).saved[prog.entry.cont.eid][0]
+    assert ref_run(prog, Store()).values == (1,)
+    scratch = run_from_scratch(prog, Store())
+    rt = Runtime(prog, Store())
+    assert scratch.values == rt.result().values == (1,)
+    for trace in (scratch.trace, rt.result().trace):
+        saved = next(a for a in iter_chain(trace)
+                     if type(a) in (TMemo, TUpdate))
+        assert saved.env == (("c", 0),)
 
 
 def test_dynamic_soundness_over_fuzz():
@@ -92,8 +113,9 @@ def test_dynamic_soundness_over_fuzz():
         s2 = store.copy()
         apply_edits(s2, labels, gen_edits(seed, s2, labels,
                                           case.edit_slots, 1))
-        propagate(prog, t1.trace, s2, fuel=800000,
-                  policy=Policy(update_chooser=lambda dirty: True))
+        m = propagation_machine(prog, t1.trace, s2)
+        m.window_dirty = lambda tail: True
+        m.run(fuel=800000)
 
 
 def test_region_no_update_pure_region_is_true():

@@ -5,14 +5,16 @@ import random
 import pytest
 
 from sasm.corpus import apply_edits, exptrees_fixture, gen_list
-from sasm.cost import (ALL_TAGS, BoundViolated, CostVector, M_STACK, M_STEPS,
-                       M_STORE, M_TRACING, UnknownTag, check_dps_overhead,
-                       cost_apply, cost_of_run, cost_vector, max_pop_arity)
+from sasm.cost import (ALL_TAGS, BoundViolated, CostVector, UnknownTag,
+                       check_dps_overhead, cost_vector, max_pop_arity)
 from sasm.dps import dps_convert_program
 from sasm.fuzz import gen_edits, gen_program
 from sasm.parser import parse_program
 from sasm.refmachine import ref_run
 from sasm.tracing import propagate, run_from_scratch
+
+from cost_folds import (M_STACK, M_STEPS, M_STORE, M_TRACING, cost_apply,
+                        cost_of_run)
 
 
 def test_stack_model_push_from_zero():

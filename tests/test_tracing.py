@@ -13,25 +13,23 @@ from sasm.store import Loc, Store, UNINIT
 from sasm.trace import (PUSH_MARK, TAlloc, TMemo, TPop, TPush, TRead,
                         TUpdate, TWrite, from_list, iter_chain, last_action,
                         to_list)
-from sasm.tracing import (EVAL_TAGS, PROP, BoundExceeded, Policy,
-                          TracingMachine, canonical_result, canonicalize,
-                          check_garbage_unreachable, enumerate_schedules,
+from sasm.tracing import (EVAL_TAGS, PROP, TracingMachine, canonical_result,
+                          canonicalize, check_garbage_unreachable,
                           non_garbage, propagate, propagation_machine,
                           run_from_scratch)
 from sasm.analyses import live_vars
 
-from machine_checks import checked_run, scratch_machine
+from machine_checks import (BoundExceeded, checked_run, enumerate_schedules,
+                            scratch_machine)
 
 
-def machine_for(prog, store=None, reuse=None, command=None, env=None,
-                policy=None):
+def machine_for(prog, store=None, reuse=None, command=None, env=None):
     store = store if store is not None else Store()
     live = live_vars(prog)
     return TracingMachine(
         store, env if env is not None else {d.fname: d for d in prog.defs},
         command if command is not None else prog.entry, reuse,
-        fun_index=prog.fun_index(), live=live,
-        policy=policy or Policy())
+        fun_index=prog.fun_index(), live=live)
 
 
 def test_push_gains_mark_and_frame():
@@ -299,8 +297,9 @@ def test_traced_to_untraced_projection_segments():
 
 def test_enumerate_no_choice_points_is_singleton():
     p = parse_program("let y = prim add(1, 2) in pop(y)\narity 1")
-    outcomes = enumerate_schedules(p, Store())
+    outcomes, explored = enumerate_schedules(p, Store())
     assert len(outcomes) == 1
+    assert explored == 1
 
 
 def test_enumerate_dps_exptree_consistent_singleton():
@@ -327,8 +326,9 @@ arity 1
     t1 = run_from_scratch(dp, store.copy(), inputs=inputs)
     s2 = store.copy()
     s2.write(la, 1, 10)
-    outcomes = enumerate_schedules(dp, s2, reuse=t1.trace)
+    outcomes, explored = enumerate_schedules(dp, s2, reuse=t1.trace)
     assert len(outcomes) == 1
+    assert explored == 3  # one update point: re-evaluate or skip
 
 
 def test_enumerate_non_csa_program_detected():
@@ -357,7 +357,8 @@ arity 0
     t1 = run_from_scratch(p, store.copy(), inputs=inputs)
     s2 = store.copy()
     s2.write(lc, 1, 9)
-    outcomes = enumerate_schedules(p, s2, reuse=t1.trace)
+    outcomes, explored = enumerate_schedules(p, s2, reuse=t1.trace)
+    assert explored == 3
     fresh = run_from_scratch(p, s2.copy(), inputs=inputs)
     cv, _, items = canonicalize(fresh.values, None, fresh.store, s2)
     assert outcomes  # some schedule completes
