@@ -306,18 +306,11 @@ def cmd_bench(args) -> int:
     for _ in range(args.edits):
         edits = gen_edits(rng.randrange(1 << 30), store, labels,
                           bench.edit_slots, 1)
-        if args.engine == "fast":
-            fast = _fast(bench.program, store, labels, inputs, edits, fuel)
-            realized_total += fast.realized
-            matches_total += fast.matches
-        else:
-            # Every edit propagates over the one shared scratch trace.
-            t2 = propagate(bench.program, scratch.trace,
-                           _edited(store, labels, edits), fuel)
-            realized_total += cost_vector(t2.log).realized
-            matches_total += t2.log.count("E.P")
+        fast = _fast(bench.program, store, labels, inputs, edits, fuel)
+        realized_total += fast.realized
+        matches_total += fast.matches
     avg = realized_total / max(1, args.edits)
-    print(f"bench={args.name} n={args.n} engine={args.engine} "
+    print(f"bench={args.name} n={args.n} "
           f"from_scratch_steps={scratch.steps} edits={args.edits} "
           f"avg_realized={avg:.1f} memo_matches={matches_total}")
     return 0
@@ -485,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=64)
     sp.add_argument("--variant", choices=("a", "b", "c"), default="b")
     sp.add_argument("--edits", type=int, default=4)
-    sp.add_argument("--engine", choices=("faithful", "fast"), default="fast")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--fuel", type=int, default=None)
     sp.set_defaults(func=cmd_bench)

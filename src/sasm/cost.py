@@ -66,9 +66,11 @@ class CostVector:
                 f"tracing=(e={e}, p={p}, u={uu})  realized={self.realized}")
 
 
-_E = frozenset(t for t in TRACE_TAGS if t[0] == "E")
-_P = frozenset(t for t in TRACE_TAGS if t[0] == "P")
-_U = frozenset(t for t in TRACE_TAGS if t[0] == "U")
+# The tracing partition's rule families: evaluation (E.0-E.8 and E.P, the
+# switch to propagation at a memo match), propagation and undo.
+EVAL_TAGS = frozenset(t for t in TRACE_TAGS if t[0] == "E")
+PROP_TAGS = frozenset(t for t in TRACE_TAGS if t[0] == "P")
+UNDO_TAGS = frozenset(t for t in TRACE_TAGS if t[0] == "U")
 _HEIGHT = {**dict.fromkeys(_PUSH, 1), **dict.fromkeys(_POP, -1)}
 
 
@@ -92,7 +94,7 @@ def cost_vector(log: Iterable[str]) -> CostVector:
         steps=len(log),
         store=(count(_ALLOC), count(_READ), count(_WRITE)),
         stack=(u, d, u - d, m),
-        tracing=(count(_E), count(_P), count(_U)),
+        tracing=(count(EVAL_TAGS), count(PROP_TAGS), count(UNDO_TAGS)),
     )
 
 
@@ -175,4 +177,5 @@ def max_pop_arity(prog) -> int:
 
 __all__ = ["CostVector", "cost_vector", "check_dps_overhead",
            "DpsOverheadReport", "BoundViolated", "UnknownTag", "REF_TAGS",
-           "TRACE_TAGS", "max_pop_arity"]
+           "TRACE_TAGS", "EVAL_TAGS", "PROP_TAGS", "UNDO_TAGS",
+           "max_pop_arity"]

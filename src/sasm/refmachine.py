@@ -74,16 +74,6 @@ def lookup_fun(env: dict, fname: str) -> A.FunDef:
     return f
 
 
-@dataclass
-class RefConfig:
-    store: Store
-    stack: list[Frame]
-    env: dict
-    command: object  # A.Expr | Values
-
-
-TERMINATED = "terminated"
-
 # The rule compilers: the IL's step semantics, written once.  Given a
 # command, a compiler returns its step, with its operands classified as
 # literals or variables and its primitive bound.  Without a LiveSet that is
@@ -259,27 +249,6 @@ def apply_frame(frame: Frame,
     return env, fdef.body
 
 
-def ref_step(c: RefConfig) -> str:
-    """Apply the unique applicable rule; mutate c; return the rule tag.
-
-    Returns TERMINATED when the command is a value vector and the stack is
-    empty.  Raises Stuck when no rule applies.
-    """
-    cmd = c.command
-    if type(cmd) is Values:
-        if not c.stack:
-            return TERMINATED
-        c.env, c.command = apply_frame(c.stack.pop(), cmd.vals)
-        return "R.11"
-    if type(cmd) is A.Push:  # R.9
-        c.stack.append(Frame(dict(c.env), cmd.fname))
-        c.command = cmd.body
-        return "R.9"
-    tag, _, c.env, c.command = (cmd.rstep or compile_step(cmd))(c.store,
-                                                                 c.env)
-    return tag
-
-
 @dataclass
 class RefResult:
     values: tuple[MachineValue, ...]
@@ -299,13 +268,14 @@ def ref_run(prog: A.Program, init_store: Store | None = None,
             fuel: int = DEFAULT_FUEL,
             inputs: dict[str, MachineValue] | None = None,
             keep_log: bool = True) -> RefResult:
-    """Iterate ref_step from <init_store, empty stack, rho0, entry>."""
+    """Step from <init_store, empty stack, rho0, entry> until a value
+    vector meets the empty stack, applying the unique applicable rule each
+    step; raises Stuck when none applies."""
     store = init_store if init_store is not None else Store()
     env, cmd, stack = initial_env(prog, inputs), prog.entry, []
     log: list[str] = []
     steps = 0
     while True:
-        # ref_step, on the configuration's parts.
         if type(cmd) is Values:
             if not stack:
                 return RefResult(cmd.vals, store, steps, log)
@@ -323,6 +293,6 @@ def ref_run(prog: A.Program, init_store: Store | None = None,
             raise FuelExhausted(fuel)
 
 
-__all__ = ["Frame", "Values", "RefConfig", "RefResult", "ref_step", "ref_run",
-           "PRIMS", "CONTROL_RULES", "RULES", "compile_step", "apply_frame",
-           "initial_env", "TERMINATED"]
+__all__ = ["Frame", "Values", "RefResult", "ref_run", "PRIMS",
+           "CONTROL_RULES", "RULES", "compile_step", "apply_frame",
+           "initial_env"]

@@ -57,8 +57,8 @@ from .errors import (DEFAULT_FUEL, BrokenRuntime, FuelExhausted,
                      StaleResult, Stuck, StuckRead, StuckWrite)
 from .refmachine import Frame, Values, apply_frame, compile_step, initial_env
 from .store import Loc, MachineValue, Store, UNINIT
-from .trace import (TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
-                    Trace, from_list)
+from .trace import (TAlloc, TMemo, TPop, TRead, TUpdate, TWrite, Trace,
+                    from_flat)
 
 
 # -- order maintenance --------------------------------------------------------
@@ -240,8 +240,9 @@ class FastResult:
     """What one propagation did, and the retained run it left behind.
 
     `values` and the counts are fixed when the result is made.  `trace` and
-    `store` are built from the Runtime on first read (by `build_trace` and
-    `build_store`) and cached.  They are valid until the Runtime's next
+    `store` are built from the Runtime on first read and cached: the trace
+    is rebuilt from `flat_trace` (by `build_trace`), the store by
+    `build_store`.  They are valid until the Runtime's next
     `propagate` or `mark_dirty`; a read after that raises StaleResult, so a
     result never shows another batch's state.
     """
@@ -671,19 +672,7 @@ class Runtime:
         return out
 
     def build_trace(self) -> Trace:
-        stack: list[list] = [[]]
-        n = self.head.next
-        while n is not self.tail:
-            if n.kind == "begin":
-                stack.append([])
-            elif n.kind == "end":
-                sub = stack.pop()
-                stack[-1].append(TPush(from_list(sub)))
-            else:
-                stack[-1].extend(n.actions)
-            n = n.next
-        assert len(stack) == 1, "unbalanced regions in retained trace"
-        return from_list(stack[0])
+        return from_flat(self.flat_trace())
 
     def final_values(self) -> tuple[MachineValue, ...]:
         # The last node holds the top-level pop.

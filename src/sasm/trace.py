@@ -12,6 +12,11 @@ tail saved while discarding a subtrace.  Rewinding moves the focus backwards,
 gathering actions into a completed subtrace; it stops at push and propagation
 marks, and restores undo-mark tails into the focus on the way.  The relation
 is written once, as one loop: `rewind_step` is its one-step case.
+
+`flatten` is the one walk over a nested trace: it lists the atomic actions
+in pre-order, each push's contents between "(" and ")", and `from_flat`
+nests such a list back into a trace.  Counting, dumping, canonicalizing and
+the other whole-trace passes read its list, so none of them recurses.
 """
 
 from __future__ import annotations
@@ -131,20 +136,49 @@ def iter_chain(t: Trace) -> Iterator:
         t = t[1]
 
 
+def flatten(t: Trace) -> list:
+    """The trace's atomic actions in pre-order, with each push's contents
+    between "(" and ")"."""
+    out: list = []
+    todo: list[Trace] = []  # the tails after each open push
+    while True:
+        while t is not None:
+            a, t = t
+            if type(a) is TPush:
+                out.append("(")
+                todo.append(t)
+                t = a.sub
+            else:
+                out.append(a)
+        if not todo:
+            return out
+        out.append(")")
+        t = todo.pop()
+
+
+def from_flat(flat: list) -> Trace:
+    """The trace `t` with `flatten(t) == flat`: the inverse of `flatten`."""
+    stack: list[list] = [[]]
+    for a in flat:
+        if type(a) is not str:
+            stack[-1].append(a)
+        elif a == "(":
+            stack.append([])
+        elif a == ")" and len(stack) > 1:
+            sub = stack.pop()
+            stack[-1].append(TPush(from_list(sub)))
+        else:
+            raise ValueError(f"unbalanced {a!r} in a flat trace")
+    if len(stack) != 1:
+        raise ValueError("unbalanced '(' in a flat trace")
+    return from_list(stack[0])
+
+
 def action_count(t: Trace) -> int:
     """Atomic actions in a trace (push wrappers contribute their contents
     only; rewinding may rewrap leftovers into fresh push actions, so wrapper
     counts are not conserved but atomic counts are)."""
-    n, todo = 0, [t]
-    while todo:
-        t = todo.pop()
-        while t is not None:
-            a, t = t
-            if type(a) is TPush:
-                todo.append(a.sub)
-            else:
-                n += 1
-    return n
+    return sum(type(a) is not str for a in flatten(t))
 
 
 def ctx_action_count(ctx: Ctx) -> int:
@@ -276,37 +310,31 @@ def _env_str(env: SavedEnv) -> str:
 
 def dump_lines(t: Trace) -> list[str]:
     out: list[str] = []
-    todo: list[Trace] = []  # the tails after each open push
     pad = ""
-    while True:
-        while t is not None:
-            a, t = t
-            k = type(a)
-            if k is TAlloc:
-                out.append(f"{pad}A {a.loc!r} {a.size}")
-            elif k is TRead:
-                out.append(f"{pad}R {fmt_value(a.val)} {a.loc!r} {a.off}")
-            elif k is TWrite:
-                out.append(f"{pad}W {fmt_value(a.val)} {a.loc!r} {a.off}")
-            elif k is TMemo:
-                out.append(f"{pad}M #{a.eid} {_env_str(a.env)}")
-            elif k is TUpdate:
-                out.append(f"{pad}U #{a.eid} {_env_str(a.env)}")
-            elif k is TPush:
-                out.append(f"{pad}(")
-                todo.append(t)
-                t = a.sub
-                pad += "  "
-            elif k is TPop:
-                vals = ",".join(fmt_value(v) for v in a.vals)
-                out.append(f"{pad}P ⟨{vals}⟩")
-            else:
-                raise TypeError(f"not a trace action: {a!r}")
-        if not todo:
-            return out
-        t = todo.pop()
-        pad = pad[2:]
-        out.append(f"{pad})")
+    for a in flatten(t):
+        k = type(a)
+        if k is TAlloc:
+            out.append(f"{pad}A {a.loc!r} {a.size}")
+        elif k is TRead:
+            out.append(f"{pad}R {fmt_value(a.val)} {a.loc!r} {a.off}")
+        elif k is TWrite:
+            out.append(f"{pad}W {fmt_value(a.val)} {a.loc!r} {a.off}")
+        elif k is TMemo:
+            out.append(f"{pad}M #{a.eid} {_env_str(a.env)}")
+        elif k is TUpdate:
+            out.append(f"{pad}U #{a.eid} {_env_str(a.env)}")
+        elif k is TPop:
+            vals = ",".join(fmt_value(v) for v in a.vals)
+            out.append(f"{pad}P ⟨{vals}⟩")
+        elif a == "(":
+            out.append(f"{pad}(")
+            pad += "  "
+        elif a == ")":
+            pad = pad[2:]
+            out.append(f"{pad})")
+        else:
+            raise TypeError(f"not a trace action: {a!r}")
+    return out
 
 
 def dump(t: Trace) -> str:
@@ -317,7 +345,7 @@ __all__ = [
     "TAlloc", "TRead", "TWrite", "TMemo", "TUpdate", "TPush", "TPop",
     "Action", "Trace", "Ctx", "TraceZipper", "PUSH_MARK", "PropMark",
     "UndoMark", "Blocked", "RewindResult", "rewind_step", "rewind_to_mark",
-    "check_okay", "from_list", "to_list", "iter_chain",
-    "action_count", "ctx_action_count", "last_action",
+    "check_okay", "from_list", "to_list", "iter_chain", "flatten",
+    "from_flat", "action_count", "ctx_action_count", "last_action",
     "dump", "dump_lines",
 ]

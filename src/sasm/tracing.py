@@ -40,7 +40,7 @@ from .refmachine import Frame, Values, apply_frame, compile_step, initial_env
 from .store import Loc, MachineValue, Store, UNINIT
 from .trace import (
     PUSH_MARK, PropMark, TAlloc, TMemo, TPop, TPush, TRead, TUpdate, TWrite,
-    Trace, TraceZipper, UndoMark, rewind_to_mark,
+    Trace, TraceZipper, UndoMark, flatten, rewind_to_mark,
 )
 
 
@@ -52,10 +52,6 @@ class _Prop:
 PROP = _Prop()
 
 TERMINATED = "terminated"
-
-EVAL_TAGS = frozenset(
-    ["E.0", "E.1", "E.2", "E.3", "E.4", "E.5", "E.6", "E.7", "E.8"])
-UNDO_TAGS = frozenset(["U.1", "U.2", "U.3", "U.4"])
 
 
 @dataclass
@@ -330,16 +326,8 @@ def run_from_scratch(prog: A.Program, store: Store | None = None,
 
 
 def _max_loc_id(t: Trace) -> int:
-    worst, todo = 0, [t]
-    while todo:
-        t = todo.pop()
-        while t is not None:
-            a, t = t
-            if type(a) is TAlloc:
-                worst = max(worst, a.loc.id)
-            elif type(a) is TPush:
-                todo.append(a.sub)
-    return worst
+    return max((a.loc.id for a in flatten(t) if type(a) is TAlloc),
+               default=0)
 
 
 def propagation_machine(prog: A.Program, reuse: Trace,
@@ -391,16 +379,10 @@ def check_garbage_unreachable(result: BalancedResult) -> bool:
         return True
     if any(isinstance(v, Loc) and v.id in garbage for v in result.values):
         return False
-
-    todo = [result.trace]
-    while todo:
-        t = todo.pop()
-        while t is not None:
-            a, t = t
-            if any(loc.id in garbage for loc in _locs_of_action(a)):
-                return False
-            if type(a) is TPush:
-                todo.append(a.sub)
+    # A bracket string names no location.
+    if any(loc.id in garbage for a in flatten(result.trace)
+           for loc in _locs_of_action(a)):
+        return False
     # Garbage locations have no cells (`Store.mark_garbage` drops them).
     return not any(isinstance(v, Loc) and v.id in garbage
                    for v in result.store.cells.values())
@@ -415,9 +397,9 @@ def canonicalize(values, trace: Trace, store: Store,
     only in allocator choices compare equal.  Locations of the shared initial
     store map to themselves.
 
-    Returns (values, trace, store items).  The trace is one flat tuple in
-    pre-order, each push's contents between "(" and ")"; the items are the
-    store's live cells sorted on their canonical (location, offset)."""
+    Returns (values, trace, store items).  The trace is `flatten(trace)`
+    as a tuple, its actions renamed; the items are the store's live cells
+    sorted on their canonical (location, offset)."""
     mapping: dict[int, tuple] = {}
     if initial_store is not None:
         for i in (*initial_store.sizes, *initial_store.garbage):
@@ -434,33 +416,23 @@ def canonicalize(values, trace: Trace, store: Store,
         return loc(v.id) if type(v) is Loc else v
 
     out: list = []
-    todo: list[Trace] = []
-    t = trace
-    while True:
-        while t is not None:
-            a, t = t
-            k = type(a)
-            if k is TRead:
-                out.append(("R", val(a.val), loc(a.loc.id), a.off))
-            elif k is TWrite:
-                out.append(("W", val(a.val), loc(a.loc.id), a.off))
-            elif k is TAlloc:
-                out.append(("A", loc(a.loc.id), a.size))
-            elif k is TPush:
-                out.append("(")
-                todo.append(t)
-                t = a.sub
-            elif k is TMemo or k is TUpdate:
-                out.append(("M" if k is TMemo else "U", a.eid,
-                            tuple([(x, val(v)) for x, v in a.env])))
-            elif k is TPop:
-                out.append(("P", tuple([val(v) for v in a.vals])))
-            else:
-                raise TypeError(f"not an atomic action: {a!r}")
-        if not todo:
-            break
-        out.append(")")
-        t = todo.pop()
+    for a in flatten(trace):
+        k = type(a)
+        if k is TRead:
+            out.append(("R", val(a.val), loc(a.loc.id), a.off))
+        elif k is TWrite:
+            out.append(("W", val(a.val), loc(a.loc.id), a.off))
+        elif k is TAlloc:
+            out.append(("A", loc(a.loc.id), a.size))
+        elif k is str:
+            out.append(a)
+        elif k is TMemo or k is TUpdate:
+            out.append(("M" if k is TMemo else "U", a.eid,
+                        tuple([(x, val(v)) for x, v in a.env])))
+        elif k is TPop:
+            out.append(("P", tuple([val(v) for v in a.vals])))
+        else:
+            raise TypeError(f"not an atomic action: {a!r}")
     cv = tuple([val(v) for v in values])
     items = [(loc(lid), off, "⊥" if v is UNINIT else val(v))
              for (lid, off), v in store.entries()]
@@ -477,5 +449,4 @@ __all__ = [
     "PROP", "TERMINATED", "BalancedResult", "TracingMachine",
     "run_from_scratch", "propagate", "non_garbage",
     "check_garbage_unreachable", "canonicalize", "canonical_result",
-    "EVAL_TAGS", "UNDO_TAGS",
 ]

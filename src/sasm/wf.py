@@ -34,49 +34,24 @@ def _pos(e) -> tuple[int, int]:
     return (p.line, p.col) if p else (0, 0)
 
 
-def _pop_witness(e: A.Expr, funs: dict[str, A.FunDef], seen: set[str]) -> A.Pop | None:
-    """First pop ending this expression's region, following calls."""
-    while True:
-        if isinstance(e, A.Pop):
-            return e
-        if isinstance(e, A.App):
-            f = funs.get(e.fname)
-            if f is None or f.fname in seen:
-                return None
-            seen.add(f.fname)
-            e = f.body
-        elif isinstance(e, A.Push):
-            f = funs.get(e.fname)
-            if f is None or f.fname in seen:
-                return None
-            seen.add(f.fname)
-            e = f.body
-        elif isinstance(e, A.If):
-            w = _pop_witness(e.then, funs, seen)
-            return w if w is not None else _pop_witness(e.els, funs, seen)
-        elif isinstance(e, (A.FunDef, A.PrimOp, A.Inst)):
-            e = e.cont
-        elif isinstance(e, (A.Memo, A.Update)):
-            e = e.body
-        else:
-            return None
-
-
 class _ArityCheck:
+    """Solves each function's region-ending pop by fixpoint: an arity is
+    that pop's length, and a diagnostic names that pop's position."""
+
     def __init__(self, prog: A.Program):
         self.prog = prog
         self.funs = prog.fun_index()
-        self.fn_arity: dict[str, int | None] = {f: None for f in self.funs}
+        self.fn_pop: dict[str, A.Pop | None] = {f: None for f in self.funs}
         self.errors: list[Diagnostic] = []
 
-    def arity_of(self, e: A.Expr) -> int | None:
+    def pop_of(self, e: A.Expr) -> A.Pop | None:
         while True:
             if isinstance(e, A.Pop):
-                return len(e.vals)
+                return e
             if isinstance(e, (A.App, A.Push)):
-                return self.fn_arity.get(e.fname)
+                return self.fn_pop.get(e.fname)
             if isinstance(e, A.If):
-                a, b = self.arity_of(e.then), self.arity_of(e.els)
+                a, b = self.pop_of(e.then), self.pop_of(e.els)
                 return a if a is not None else b
             if isinstance(e, (A.FunDef, A.PrimOp, A.Inst)):
                 e = e.cont
@@ -90,44 +65,45 @@ class _ArityCheck:
         while changed:
             changed = False
             for name, fdef in self.funs.items():
-                a = self.arity_of(fdef.body)
-                if a is not None and self.fn_arity[name] is None:
-                    self.fn_arity[name] = a
+                pop = self.pop_of(fdef.body)
+                if pop is not None and self.fn_pop[name] is None:
+                    self.fn_pop[name] = pop
                     changed = True
 
-    def _conflict(self, what: str, e1: A.Expr, n1, e2: A.Expr | None, n2) -> None:
-        w1 = _pop_witness(e1, self.funs, set())
-        l1, c1 = _pos(w1 if w1 is not None else e1)
-        if e2 is not None:
-            w2 = _pop_witness(e2, self.funs, set())
-            l2, c2 = _pos(w2 if w2 is not None else e2)
-            msg = (f"{what}: pop of {n1} values at {l1}:{c1} conflicts with "
-                   f"pop of {n2} values at {l2}:{c2}")
+    def _conflict(self, what: str, pop: A.Pop, other: A.Pop | int) -> None:
+        """Report `pop` against another pop or an expected arity."""
+        l1, c1 = _pos(pop)
+        msg = f"{what}: pop of {len(pop.vals)} values at {l1}:{c1}"
+        if isinstance(other, A.Pop):
+            l2, c2 = _pos(other)
+            msg += (f" conflicts with pop of {len(other.vals)} values at "
+                    f"{l2}:{c2}")
         else:
-            msg = f"{what}: pop of {n1} values at {l1}:{c1} but {n2} expected"
+            msg += f" but {other} expected"
         self.errors.append(Diagnostic(msg, l1, c1))
 
     def verify(self) -> list[Diagnostic]:
         self.solve()
         for e in A.walk_program(self.prog):
             if isinstance(e, A.If):
-                a, b = self.arity_of(e.then), self.arity_of(e.els)
-                if a is not None and b is not None and a != b:
-                    self._conflict("branch arity mismatch", e.then, a, e.els, b)
+                a, b = self.pop_of(e.then), self.pop_of(e.els)
+                if a is not None and b is not None and \
+                        len(a.vals) != len(b.vals):
+                    self._conflict("branch arity mismatch", a, b)
             elif isinstance(e, A.Push):
                 f = self.funs.get(e.fname)
                 if f is None:
                     continue
-                body_a = self.arity_of(e.body)
-                if body_a is not None and body_a != len(f.params):
+                body = self.pop_of(e.body)
+                if body is not None and len(body.vals) != len(f.params):
                     self._conflict(
                         f"push body arity mismatch for {e.fname!r} "
                         f"(takes {len(f.params)})",
-                        e.body, body_a, None, len(f.params))
-        entry_a = self.arity_of(self.prog.entry)
-        if entry_a is not None and entry_a != self.prog.arity:
-            self._conflict("program arity mismatch", self.prog.entry, entry_a,
-                           None, self.prog.arity)
+                        body, len(f.params))
+        entry = self.pop_of(self.prog.entry)
+        if entry is not None and len(entry.vals) != self.prog.arity:
+            self._conflict("program arity mismatch", entry,
+                           self.prog.arity)
         return self.errors
 
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from sasm.analyses import step_data
+from sasm.cost import EVAL_TAGS, UNDO_TAGS
 from sasm.errors import DEFAULT_FUEL, FuelExhausted, Stuck
 from sasm.refmachine import Values, initial_env
 from sasm.store import Store
 from sasm.trace import TPop, last_action
-from sasm.tracing import (EVAL_TAGS, PROP, TERMINATED, UNDO_TAGS,
-                          BalancedResult, TracingMachine, canonicalize,
-                          propagation_machine)
+from sasm.tracing import (PROP, TERMINATED, BalancedResult, TracingMachine,
+                          canonicalize, propagation_machine)
 
 
 class CheckedRun(NamedTuple):
@@ -43,7 +43,7 @@ class CheckedRun(NamedTuple):
 
 def _record_tag(segments: list[dict], tag: str) -> None:
     if segments and not segments[-1]["done"]:
-        if tag in EVAL_TAGS or tag in UNDO_TAGS or tag == "E.P":
+        if tag in EVAL_TAGS or tag in UNDO_TAGS:  # E.P among EVAL_TAGS
             segments[-1]["tags"].append(tag)
             if tag == "E.P":
                 segments[-1]["done"] = True

@@ -1,15 +1,19 @@
 """The command-line interface: subcommands, exit codes, file conventions."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from sasm.cli import main
-from sasm.cost import BoundViolated
+from sasm.corpus import apply_edits, gen_array_max, gen_list
+from sasm.cost import BoundViolated, cost_vector
 from sasm.errors import Stuck
+from sasm.fuzz import gen_edits
 from sasm.runtime import Runtime
+from sasm.tracing import propagate, run_from_scratch
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -146,10 +150,37 @@ def test_cost_table_with_dps_report(capsys):
 
 
 def test_bench_row(capsys):
-    assert main(["bench", "array_max", "--n", "32", "--edits", "2",
-                 "--engine", "fast"]) == 0
+    assert main(["bench", "array_max", "--n", "32", "--edits", "2"]) == 0
     out = capsys.readouterr().out
     assert "from_scratch_steps=" in out and "avg_realized=" in out
+
+
+@pytest.mark.parametrize("name, bench", [
+    ("array_max", lambda: gen_array_max(32, "b")),
+    ("list_sum", lambda: gen_list("sum", 32, 0))],
+    ids=["array_max", "list_sum"])
+def test_bench_row_equals_a_faithful_propagation(capsys, name, bench):
+    """The row's figures, recomputed on the faithful machine: the row's
+    edits (default seed 0, 4 edits), each propagated over the one shared
+    from-scratch trace."""
+    bench = bench()
+    store, labels, inputs = bench.build()
+    scratch = run_from_scratch(bench.program, store.copy(), inputs=inputs)
+    rng = random.Random(0)
+    realized = matches = 0
+    for _ in range(4):
+        edits = gen_edits(rng.randrange(1 << 30), store, labels,
+                          bench.edit_slots, 1)
+        edited = store.copy()
+        apply_edits(edited, labels, edits)
+        t2 = propagate(bench.program, scratch.trace, edited)
+        realized += cost_vector(t2.log).realized
+        matches += t2.log.count("E.P")
+    assert main(["bench", name, "--n", "32"]) == 0
+    row = dict(f.split("=") for f in capsys.readouterr().out.split())
+    assert row["from_scratch_steps"] == str(scratch.steps)
+    assert row["avg_realized"] == f"{realized / 4:.1f}"
+    assert row["memo_matches"] == str(matches)
 
 
 @pytest.mark.parametrize("argv, message", [

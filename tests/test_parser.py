@@ -55,6 +55,36 @@ arity 1
         parse_program(src)
 
 
+def test_program_arity_mismatch_names_the_pop_that_ends_the_entry():
+    """f's region ends at its own pop(1) (3:22), not at the first pop a walk
+    into its calls reaches, g's pop(1, 2) (4:15)."""
+    src = """let fun f() =
+  let c = prim eq(0, 0) in
+  if c then g() else pop(1)
+let fun g() = pop(1)
+f()
+arity 1
+"""
+    p = parse_program(src)
+    # Resize g's pop and the declared arity past the parser's own check.
+    p.fun_index()["g"].body.vals = (1, 2)
+    p.arity = 2
+    assert [str(d) for d in check_wf(p)] == [
+        "4:15: branch arity mismatch: pop of 2 values at 4:15 conflicts "
+        "with pop of 1 values at 3:22",
+        "3:22: program arity mismatch: pop of 1 values at 3:22 "
+        "but 2 expected"]
+
+
+def test_push_body_arity_mismatch_names_the_body_pop():
+    src = "let fun k(x) =\n  pop(x)\npush k do\n  pop(1, 2)\narity 1"
+    with pytest.raises(ArityError) as exc:
+        parse_program(src)
+    assert str(exc.value) == (
+        "4:3: push body arity mismatch for 'k' (takes 1): pop of 2 values "
+        "at 4:3 but 1 expected")
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_program("let x = prim add(1, in pop(x)\narity 1")

@@ -4,8 +4,7 @@ from sasm.analyses import LiveSet
 from sasm.errors import FuelExhausted, Stuck, StuckRead
 from sasm.ilast import PRIMOPS, Alloc, Inst, Pop, PrimOp, Read, Write
 from sasm.parser import parse_program
-from sasm.refmachine import (PRIMS, RefConfig, Values, compile_step, ref_run,
-                             ref_step)
+from sasm.refmachine import PRIMS, compile_step, ref_run
 from sasm.store import Loc, Store, UNINIT
 from sasm.trace import TAlloc, TRead, TWrite
 
@@ -158,11 +157,9 @@ def test_determinism_same_run_twice(corpus):
 
 def test_step_terminates_with_values_on_empty_stack():
     p = parse_program("pop(1, 2)\narity 2")
-    c = RefConfig(store=Store(), stack=[], env={}, command=p.entry)
-    assert ref_step(c) == "R.10"
-    tag = ref_step(c)
-    assert tag == "terminated"
-    assert isinstance(c.command, Values) and c.command.vals == (1, 2)
+    r = ref_run(p, Store())
+    assert r.log == ["R.10"]
+    assert r.values == (1, 2)
 
 
 MAX, MIN, L = (1 << 63) - 1, -(1 << 63), Loc(3)

@@ -20,7 +20,7 @@ from sasm.refmachine import ref_run
 from sasm.runtime import (EntryHistory, OrderMaintenance, Runtime, TraceNode,
                           UseAfterDelete)
 from sasm.store import Loc, Store
-from sasm.trace import TMemo, TPop, TRead, TUpdate, TWrite
+from sasm.trace import TMemo, TPop, TRead, TUpdate, TWrite, flatten
 from sasm.tracing import (canonicalize, non_garbage, propagation_machine,
                           run_from_scratch)
 from sasm.wf import check_wf
@@ -624,6 +624,7 @@ def test_soak_list_map_keeps_updates_last_and_no_garbage_histories():
         fast = rt.propagate([e.resolve(labels) for e in edits])
         assert not {lid for lid, _ in rt.histories} & rt.base.garbage, batch
         assert rt.live_entries == len(rt.flat_trace()), batch
+        assert flatten(rt.build_trace()) == rt.flat_trace(), batch
         n = rt.head.next
         while n is not rt.tail:
             if n.kind == "run":

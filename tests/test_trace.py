@@ -1,5 +1,7 @@
 """The zipper: rewinding cases, blocking, bookkeeping, the okay invariant."""
 
+import pytest
+
 from sasm import tracing
 from sasm.corpus import corpus_benchmarks
 from sasm.dps import dps_convert_program
@@ -10,8 +12,8 @@ from sasm.store import Loc, Store
 from sasm.trace import (Blocked, PUSH_MARK, PropMark, TAlloc, TPop, TPush,
                         TRead, TWrite, TraceZipper, UndoMark, action_count,
                         check_okay, ctx_action_count, dump, dump_lines,
-                        from_list, last_action, rewind_step, rewind_to_mark,
-                        to_list)
+                        flatten, from_flat, from_list, last_action,
+                        rewind_step, rewind_to_mark, to_list)
 from sasm.tracing import propagate, propagation_machine, run_from_scratch
 
 
@@ -381,3 +383,30 @@ def test_deep_traces_walk_without_recursion():
     assert tracing.check_garbage_unreachable(result)
     result.trace = nested(TRead(dead, live, 1))
     assert not tracing.check_garbage_unreachable(result)
+
+    assert_flat_round_trip((live,), t, store)
+
+
+def assert_flat_round_trip(values, t, store):
+    """`from_flat` inverts `flatten`: the rebuilt trace flattens and
+    canonicalizes as `t` does."""
+    flat = flatten(t)
+    back = from_flat(flat)
+    assert flatten(back) == flat
+    assert tracing.canonicalize(values, back, store) == \
+        tracing.canonicalize(values, t, store)
+
+
+def test_from_flat_inverts_flatten():
+    """On from-scratch traces of the corpus and fuzz seeds 0..199."""
+    cases = [*corpus_benchmarks(), *map(gen_program, range(200))]
+    for case in cases:
+        store, labels, inputs = case.build()
+        r = run_from_scratch(case.program, store, inputs=inputs)
+        assert_flat_round_trip(r.values, r.trace, r.store)
+
+
+def test_from_flat_rejects_unbalanced_brackets():
+    for flat in (["("], [")"], [POP, ")", "("]):
+        with pytest.raises(ValueError, match="unbalanced"):
+            from_flat(flat)

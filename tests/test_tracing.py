@@ -4,16 +4,18 @@ import pytest
 
 from sasm.corpus import (Edit, apply_edits, corpus_benchmarks, deref_result,
                          exptrees_fixture, gen_array_max)
+from sasm.cost import EVAL_TAGS
 from sasm.dps import dps_convert_program
 from sasm.errors import Stuck
 from sasm.fuzz import gen_edits, gen_program
+from sasm.ilast import Program
 from sasm.parser import parse_program
-from sasm.refmachine import Values, ref_run, ref_step, RefConfig
+from sasm.refmachine import Values, ref_run
 from sasm.store import Loc, Store, UNINIT
 from sasm.trace import (PUSH_MARK, TAlloc, TMemo, TPop, TPush, TRead,
                         TUpdate, TWrite, from_list, iter_chain, last_action,
                         to_list)
-from sasm.tracing import (EVAL_TAGS, PROP, TracingMachine, canonical_result,
+from sasm.tracing import (PROP, TracingMachine, canonical_result,
                           canonicalize, check_garbage_unreachable,
                           non_garbage, propagate, propagation_machine,
                           run_from_scratch)
@@ -110,7 +112,7 @@ def test_from_scratch_only_eval_tags(corpus):
     for bench in corpus:
         store, labels, inputs = bench.build()
         t = checked_run(scratch_machine(bench.program, store, inputs)).result
-        assert all(tag in EVAL_TAGS for tag in t.log)
+        assert all(tag in EVAL_TAGS - {"E.P"} for tag in t.log)
 
 
 def test_last_action_is_result_vector(corpus):
@@ -280,14 +282,9 @@ def test_traced_to_untraced_projection_segments():
     assert segments
     for seg in segments:
         etags = [t for t in seg["tags"] if t.startswith("E") and t != "E.P"]
-        c = RefConfig(store=seg["store"], stack=[], env=seg["env"],
-                      command=seg["expr"])
-        ref_tags = []
-        for _ in range(len(etags)):
-            tag = ref_step(c)
-            if tag == "terminated":
-                break
-            ref_tags.append(REF_TO_TRACE[tag])
+        r = ref_run(Program(entry=seg["expr"]), seg["store"].copy(),
+                    inputs=seg["env"])
+        ref_tags = [REF_TO_TRACE[tag] for tag in r.log[:len(etags)]]
         assert ref_tags == etags[:len(ref_tags)]
         assert len(ref_tags) >= min(1, len(etags))
 
