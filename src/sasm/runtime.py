@@ -26,9 +26,10 @@ whose re-evaluation re-runs it), unless a bracket or the head comes first.
 The trace is its own order-maintenance list: a node's integer label is its
 timestamp.  An entry's history indexes the trace's own reads and writes and
 bisects on their nodes' live labels, in C; relabeling keeps trace order, so
-there is nothing to refresh.  A write or a retirement searches its entry's
-history once; a read searches it twice, once for its value (`_value_now`)
-and once more to index it (`_record`).  New nodes are inserted between the
+there is nothing to refresh.  Each read, write or retirement searches its
+entry's history once: a read or write finds the position just after `at`,
+where `_record` then indexes its action, and a retirement bisects to its
+action and deletes it there.  New nodes are inserted between the
 re-evaluated update point and the doomed old interval, so a history lookup
 at a new node's time sees exactly the store the faithful machine would see
 at that replay moment (earlier writes included, unreplayed and later writes
@@ -155,7 +156,9 @@ class TraceNode(OMHandle):
     __slots__ = ("kind", "actions", "region", "partner", "queued")
 
     def __init__(self, kind: str):
-        super().__init__()
+        self.label = 0
+        self.prev = self.next = None
+        self.alive = True
         self.kind = kind  # "run" | "begin" | "end" | "head" | "tail"
         self.actions: list = []
         self.region: Optional["TraceNode"] = None  # innermost begin node
@@ -186,7 +189,8 @@ class EntryHistory:
     `nodes[k]`; a back-pointer from action to node would make every run node
     a reference cycle, freed only by the cyclic collector.  Relabeling keeps
     trace order, so a lookup bisects on the nodes' live labels, and nothing
-    is refreshed on relabel.  Lookups return positions in both lists."""
+    is refreshed on relabel.  Lookups return positions in both lists; the
+    Runtime inserts and deletes at them."""
 
     __slots__ = ("nodes", "actions")
 
@@ -204,22 +208,12 @@ class EntryHistory:
     def after(self, om, node) -> int:
         """The position after every action of the live node `node`.  It is
         the end when the history is empty or its last node is `node` or
-        comes before it, as for every insert and read of a build."""
+        comes before it, as for every read and write of a build."""
         key = om.key(node)
         nodes = self.nodes
         if not nodes or nodes[-1] is node or nodes[-1].label < key:
             return len(nodes)
         return bisect_right(nodes, key, key=_LABEL)
-
-    def insert(self, om, node, a) -> int:
-        """Index `a`, which is the last action of `node` so far."""
-        k = self.after(om, node)
-        self.nodes.insert(k, node)
-        self.actions.insert(k, a)
-        return k
-
-    def remove(self, k: int) -> None:
-        del self.nodes[k], self.actions[k]
 
     def write_before(self, k: int, base_value):
         """The value of the latest write before position k, else
@@ -306,6 +300,10 @@ class Runtime:
         # half re-evaluated, so later edits are refused.
         self.failure: BaseException | None = None
         self.at = self.head  # the node the running session linked last
+        # Where the last read or write goes in its entry's history: the
+        # history and the position just after `at`, for _record.
+        self.hist: Optional[EntryHistory] = None
+        self.pos = 0
         self._session(initial_env(prog, inputs), prog.entry, after=self.head,
                       cursor=None, fuel=fuel)
 
@@ -317,18 +315,38 @@ class Runtime:
 
     def read(self, loc, off) -> MachineValue:
         """The entry's value in its history just after `at`, so the
-        session's own writes are already there."""
-        v = self._value_now(loc, off, self.at)
-        if v is None or v is UNINIT:
-            raise StuckRead(f"read of {loc!r}[{off!r}] unavailable")
-        return v
+        session's own writes are already there.  That one search also
+        leaves `hist` and `pos` where _record indexes the read."""
+        if type(loc) is Loc and type(off) is int and \
+                loc.id not in self.base.garbage:
+            key = (loc.id, off)
+            v = self.base.cells.get(key)
+            h = self.histories.get(key)
+            if h is not None:
+                k = h.after(self.om, self.at)
+                v = h.write_before(k, v)
+            if v is not None and v is not UNINIT:
+                if h is None:
+                    h = self.histories[key] = EntryHistory()
+                    k = 0
+                self.hist, self.pos = h, k
+                return v
+        raise StuckRead(f"read of {loc!r}[{off!r}] unavailable")
 
     def write(self, loc, off, val) -> int:
-        """Only range-checked: _record indexes the write once the rule
-        returns."""
-        if not isinstance(loc, Loc) or self.base.peek(loc, off) is None:
-            raise StuckWrite(f"write of {loc!r}[{off!r}] out of range")
-        return 0
+        """Range-checked, and the entry's history searched once, as a read
+        does: _record indexes the write at `pos` once the rule returns."""
+        if type(loc) is Loc and loc.id not in self.base.garbage:
+            key = (loc.id, off)
+            if key in self.base.cells:
+                h = self.histories.get(key)
+                if h is None:
+                    self.hist = self.histories[key] = EntryHistory()
+                    self.pos = 0
+                else:
+                    self.hist, self.pos = h, h.after(self.om, self.at)
+                return 0
+        raise StuckWrite(f"write of {loc!r}[{off!r}] out of range")
 
     # -- linked-list and indexing helpers --------------------------------------
 
@@ -340,18 +358,12 @@ class Runtime:
     def _unlink(self, node: TraceNode) -> None:
         if node.queued:
             # Off the queue while its timestamp can still be compared.
-            k = bisect_left(self.queue, self.om.key(node), key=self.om.key)
+            k = bisect_left(self.queue, node.label, key=_LABEL)
             assert self.queue[k] is node
             del self.queue[k]
             node.queued = False
         self.om.delete(node)
         self.live_entries -= node.entries()
-
-    def _hist(self, lid: int, off: int) -> EntryHistory:
-        h = self.histories.get((lid, off))
-        if h is None:
-            h = self.histories[(lid, off)] = EntryHistory()
-        return h
 
     # -- queue ------------------------------------------------------------------
 
@@ -371,7 +383,9 @@ class Runtime:
         checker = self._checker(node)
         if not checker.queued:
             checker.queued = True
-            insort(self.queue, checker, key=self.om.key)
+            # Raw labels: a queued node is alive, as _unlink takes it off
+            # the queue before deleting it.
+            insort(self.queue, checker, key=_LABEL)
 
     @property
     def enclosing(self) -> dict[TraceNode, Optional[TraceNode]]:
@@ -405,7 +419,8 @@ class Runtime:
         whose recorded value differs from `value`."""
         nodes, actions = h.nodes, h.actions
         while k < len(actions) and type(actions[k]) is TRead:
-            if actions[k].val != value:
+            v = actions[k].val
+            if v is not value and v != value:
                 self._enqueue_reader(nodes[k])
             k += 1
 
@@ -428,8 +443,11 @@ class Runtime:
         elif t is TRead or t is TWrite:
             h = self.histories.get((a.loc.id, a.off))
             if h is not None:
-                k = h.find(self.om, node, a)
-                h.remove(k)
+                nodes, actions = h.nodes, h.actions
+                k = bisect_left(nodes, node.label, key=_LABEL)
+                while actions[k] is not a:
+                    k += 1
+                del nodes[k], actions[k]
                 if t is TWrite:
                     # Its readers now see the write before it.
                     self._invalidate(h, k, h.write_before(
@@ -487,7 +505,7 @@ class Runtime:
                 if t is TUpdate or t is TPop:
                     return None
                 if t is TRead:
-                    cur = self._value_now(a.loc, a.off, n, a)
+                    cur = self._value_now(n, a)
                     if cur is None or cur is UNINIT or cur != a.val:
                         return a, cur
             n = n.next
@@ -562,41 +580,43 @@ class Runtime:
             self.eval_steps = steps
 
     def _record(self, a, region: Optional[TraceNode]) -> None:
-        """Append the traced action `a` after `at` and index it; a write
-        also enqueues the readers it breaks.
+        """Append the traced action `a` after `at` and index a read or
+        write at `pos` in `hist`, where its rule found it; a write also
+        enqueues the readers it breaks.
 
         A memo point, or the first action after an update point or a
-        bracket, opens a new run node in `region`."""
+        bracket, opens a new run node in `region`.  It is linked right
+        after the old `at`, so no history entry lies between them and
+        `pos` still holds: relabeling keeps order, and positions are list
+        indices."""
         at = self.at
         t = type(a)
         if (t is TMemo or at.kind != "run"
                 or type(at.actions[-1]) is TUpdate):
-            at = TraceNode("run")
+            at = self.at = self.om.insert_after(at, TraceNode("run"))
             at.region = region
-            self._link(at)
         at.actions.append(a)
         self.live_entries += 1
-        if t is TRead:
-            self._hist(a.loc.id, a.off).insert(self.om, at, a)
-        elif t is TWrite:
-            h = self._hist(a.loc.id, a.off)
-            self._invalidate(h, h.insert(self.om, at, a) + 1, a.val)
+        if t is TRead or t is TWrite:
+            h, k = self.hist, self.pos
+            h.nodes.insert(k, at)
+            h.actions.insert(k, a)
+            if t is TWrite:
+                self._invalidate(h, k + 1, a.val)
         elif t is TMemo:
             self.memo_index.setdefault((a.eid, a.env), []).append(at)
 
-    def _value_now(self, loc, off, node: TraceNode, a=None):
-        """The entry's value just before the action `a` of `node`, or after
-        all of `node`'s actions when a is None; None if unavailable."""
-        if type(loc) is not Loc or type(off) is not int:
-            return None
+    def _value_now(self, node: TraceNode, a: TRead):
+        """The entry's value just before the read `a` of `node`; None if
+        unavailable."""
+        loc, off = a.loc, a.off
         if loc.id in self.base.garbage:
             return None
         base_val = self.base.peek(loc, off)
         h = self.histories.get((loc.id, off))
         if h is None:
             return base_val
-        k = h.after(self.om, node) if a is None else h.find(self.om, node, a)
-        return h.write_before(k, base_val)
+        return h.write_before(h.find(self.om, node, a), base_val)
 
     def _replay_window(self, node: TraceNode) -> None:
         """The faithful machine replays the reads after `node`, a bracket,

@@ -15,8 +15,8 @@ is written once, as one loop: `rewind_step` is its one-step case.
 
 `flatten` is the one walk over a nested trace: it lists the atomic actions
 in pre-order, each push's contents between "(" and ")", and `from_flat`
-nests such a list back into a trace.  Counting, dumping, canonicalizing and
-the other whole-trace passes read its list, so none of them recurses.
+nests such a list back into a trace.  Dumping, canonicalizing and the other
+whole-trace passes read its list, so none of them recurses.
 """
 
 from __future__ import annotations
@@ -174,27 +174,6 @@ def from_flat(flat: list) -> Trace:
     return from_list(stack[0])
 
 
-def action_count(t: Trace) -> int:
-    """Atomic actions in a trace (push wrappers contribute their contents
-    only; rewinding may rewrap leftovers into fresh push actions, so wrapper
-    counts are not conserved but atomic counts are)."""
-    return sum(type(a) is not str for a in flatten(t))
-
-
-def ctx_action_count(ctx: Ctx) -> int:
-    """Atomic actions held in a context, including those saved under marks."""
-    n = 0
-    for entry in iter_chain(ctx):
-        if isinstance(entry, (PropMark, UndoMark)):
-            n += action_count(entry.sub)
-        elif entry is not PUSH_MARK:
-            if isinstance(entry, TPush):
-                n += action_count(entry.sub)
-            else:
-                n += 1
-    return n
-
-
 def last_action(t: Trace):
     """The last action of a nonempty trace; None for the empty trace."""
     last = None
@@ -266,42 +245,6 @@ def rewind_to_mark(z: TraceZipper) -> RewindResult:
     return RewindResult(rest, "prop", gathered, focus, head.sub)
 
 
-# -- the okay invariant ---------------------------------------------------
-
-def check_okay(z: TraceZipper, fsc_oracle) -> bool:
-    """The weaker trace invariant preserved by undoing.
-
-    fsc_oracle decides from-scratch consistency of a subtrace; the trace rules
-    are: the empty trace is okay; fsc traces are okay; a push-headed trace is
-    okay when both the subtrace and the tail are.  Context entries are okay
-    action-wise, with propagation marks requiring fsc tails and undo marks
-    requiring okay tails.
-    """
-
-    def okay_trace(t: Trace) -> bool:
-        if t is None:
-            return True
-        if fsc_oracle(t):
-            return True
-        head, tail = t
-        if isinstance(head, TPush):
-            return okay_trace(head.sub) and okay_trace(tail)
-        return False
-
-    def okay_ctx(ctx: Ctx) -> bool:
-        while ctx is not None:
-            head, ctx = ctx
-            if isinstance(head, PropMark):
-                if not fsc_oracle(head.sub) and head.sub is not None:
-                    return False
-            elif isinstance(head, UndoMark):
-                if not okay_trace(head.sub):
-                    return False
-        return True
-
-    return okay_ctx(z.ctx) and okay_trace(z.focus)
-
-
 # -- text dump ------------------------------------------------------------
 
 def _env_str(env: SavedEnv) -> str:
@@ -345,7 +288,6 @@ __all__ = [
     "TAlloc", "TRead", "TWrite", "TMemo", "TUpdate", "TPush", "TPop",
     "Action", "Trace", "Ctx", "TraceZipper", "PUSH_MARK", "PropMark",
     "UndoMark", "Blocked", "RewindResult", "rewind_step", "rewind_to_mark",
-    "check_okay", "from_list", "to_list", "iter_chain", "flatten",
-    "from_flat", "action_count", "ctx_action_count", "last_action",
-    "dump", "dump_lines",
+    "from_list", "to_list", "iter_chain", "flatten", "from_flat",
+    "last_action", "dump", "dump_lines",
 ]

@@ -16,7 +16,7 @@ from sasm.refmachine import ref_run
 from sasm.runtime import OrderMaintenance, Runtime
 from sasm.store import Loc
 from sasm.trace import (Blocked, PUSH_MARK, PropMark, TPop, TPush, TRead,
-                        TWrite, TraceZipper, UndoMark, check_okay, from_list,
+                        TWrite, TraceZipper, UndoMark, from_list,
                         last_action, rewind_step, to_list)
 from sasm.tracing import (canonical_result, canonicalize,
                           check_garbage_unreachable, non_garbage,
@@ -24,6 +24,7 @@ from sasm.tracing import (canonical_result, canonicalize,
 
 from machine_checks import checked_run, scratch_machine
 from om_oracle import NaiveOrder, key_order
+from trace_checks import check_okay
 
 FUZZ_FUEL = 400_000
 

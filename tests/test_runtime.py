@@ -148,6 +148,19 @@ def _ids(pairs):
     return [(node, id(a)) for node, a in pairs]
 
 
+def _insert(h, om, node, a):
+    """Index `a`, the last action of `node` so far, as a Runtime read or
+    write and `_record` do: one search after the node, an insert there."""
+    k = h.after(om, node)
+    h.nodes.insert(k, node)
+    h.actions.insert(k, a)
+    return k
+
+
+def _remove(h, k):
+    del h.nodes[k], h.actions[k]
+
+
 def test_entry_history_against_a_sorted_list_oracle():
     # Nodes are inserted often right after the first few, so labels run out
     # and successors are spread: the actions are looked up across relabels.
@@ -181,14 +194,14 @@ def test_entry_history_against_a_sorted_list_oracle():
             # As in a trace, the action is its node's last when indexed.
             a = rng.choice((TRead, TWrite))(rng.randrange(5), loc, 1)
             node.actions.append(a)
-            k = h.insert(om, node, a)
+            k = _insert(h, om, node, a)
             assert h.nodes[k] is node and h.actions[k] is a
             indexed.append((node, a))
         else:
             node, a = indexed.pop(rng.randrange(len(indexed)))
             k = h.find(om, node, a)
             assert h.nodes[k] is node and h.actions[k] is a
-            h.remove(k)
+            _remove(h, k)
         where = {id(a): pos(n, a) for n, a in indexed}
         want = sorted(indexed, key=lambda ev: where[id(ev[1])])
         assert len(h.nodes) == len(h.actions)
@@ -1029,3 +1042,106 @@ def test_an_empty_history_still_refuses_a_retired_node():
     om.delete(node)
     with pytest.raises(UseAfterDelete):
         h.after(om, node)
+
+
+def _index_from_trace(rt):
+    """Each entry's reads and writes, with the nodes that hold them, in the
+    order of `rt.flat_trace()`: the histories rebuilt from the trace."""
+    index, flat = {}, []
+    n = rt.head.next
+    while n is not rt.tail:
+        if n.kind != "run":
+            flat.append("(" if n.kind == "begin" else ")")
+        for a in n.actions:
+            flat.append(a)
+            if type(a) is TRead or type(a) is TWrite:
+                nodes, actions = index.setdefault((a.loc.id, a.off),
+                                                  ([], []))
+                nodes.append(n)
+                actions.append(a)
+        n = n.next
+    want = rt.flat_trace()
+    assert len(flat) == len(want)
+    assert all(a is b for a, b in zip(flat, want))
+    return index
+
+
+def _check_histories(rt, where):
+    index = _index_from_trace(rt)
+    for key, h in rt.histories.items():
+        nodes, actions = index.pop(key, ([], []))
+        assert len(h.nodes) == len(nodes) == len(h.actions), (where, key)
+        assert all(a is b for a, b in zip(h.nodes, nodes)), (where, key)
+        assert all(a is b for a, b in zip(h.actions, actions)), (where, key)
+        for node, a in zip(h.nodes, h.actions):
+            assert node.alive and any(b is a for b in node.actions), where
+    assert not index, where
+
+
+def test_histories_equal_an_index_rebuilt_from_the_trace(corpus):
+    # Propagation is promised for CSA programs, so a native program that is
+    # not CSA is only built.
+    cases = []
+    for b in corpus:
+        cases.append(((b.name, "native"), b.program, b.build(),
+                      b.edit_slots if b.native_csa else []))
+        cases.append(((b.name, "dps"), dps_convert_program(b.program),
+                      b.build(), b.edit_slots))
+    for seed in range(200):
+        case = gen_program(seed)
+        cases.append((seed, dps_convert_program(case.program), case.build(),
+                      case.edit_slots))
+    relabeled = 0
+    for name, prog, (store, labels, inputs), slots in cases:
+        rt = Runtime(prog, store.copy(), inputs=inputs, fuel=400000)
+        # A build relabels once its nodes fill the gap before the tail, and
+        # every read and write after that is indexed at a position found
+        # before its node was linked.
+        relabeled += rt.om.relabels > 0
+        _check_histories(rt, (name, "build"))
+        host = store.copy()
+        for batch in range(4 if slots else 0):
+            edits = gen_edits(2000 + batch, host, labels, slots, 2)
+            apply_edits(host, labels, edits)
+            rt.propagate([e.resolve(labels) for e in edits], fuel=400000)
+            _check_histories(rt, (name, batch))
+    assert relabeled > 10
+
+
+@pytest.mark.parametrize("bench", [gen_array_max(64, "b"),
+                                   gen_list("map", 32, 3)],
+                         ids=lambda b: b.name)
+def test_one_history_search_per_traced_read_or_write(monkeypatch, bench):
+    # Every EntryHistory search counts, except a window check's: it
+    # re-reads a recorded read, which is no session step.
+    counts = Counter()
+    checking = []
+    for name in ("after", "find"):
+        def search(*args, _search=getattr(EntryHistory, name)):
+            counts["searches"] += not checking
+            return _search(*args)
+        monkeypatch.setattr(EntryHistory, name, search)
+    window_dirty, record = Runtime.window_dirty, Runtime._record
+
+    def check(self, node):
+        checking.append(node)
+        try:
+            return window_dirty(self, node)
+        finally:
+            checking.pop()
+
+    def count(self, a, region):
+        counts["recorded"] += type(a) is TRead or type(a) is TWrite
+        record(self, a, region)
+
+    monkeypatch.setattr(Runtime, "window_dirty", check)
+    monkeypatch.setattr(Runtime, "_record", count)
+    store, labels, inputs = bench.build()
+    rt = Runtime(bench.program, store.copy(), inputs=inputs)
+    assert counts["recorded"] == sum(type(a) in (TRead, TWrite)
+                                     for a in rt.flat_trace())
+    assert 0 < counts["searches"] <= counts["recorded"]
+    counts.clear()
+    edits = gen_edits(7, store, labels, bench.edit_slots, 1)
+    rt.propagate([e.resolve(labels) for e in edits])
+    assert 0 < counts["searches"] <= counts["recorded"]

@@ -10,11 +10,12 @@ from sasm.fuzz import gen_edits, gen_program
 from sasm.parser import parse_program
 from sasm.store import Loc, Store
 from sasm.trace import (Blocked, PUSH_MARK, PropMark, TAlloc, TPop, TPush,
-                        TRead, TWrite, TraceZipper, UndoMark, action_count,
-                        check_okay, ctx_action_count, dump, dump_lines,
-                        flatten, from_flat, from_list, last_action,
-                        rewind_step, rewind_to_mark, to_list)
+                        TRead, TWrite, TraceZipper, UndoMark, dump,
+                        dump_lines, flatten, from_flat, from_list,
+                        last_action, rewind_step, rewind_to_mark, to_list)
 from sasm.tracing import propagate, propagation_machine, run_from_scratch
+
+from trace_checks import action_count, check_okay, ctx_action_count
 
 
 L = Loc(1)
@@ -272,6 +273,19 @@ def fsc_oracle_for(trace):
 
 def test_okay_empty_everything():
     assert check_okay(TraceZipper(None, None), lambda t: False)
+
+
+def test_okay_walks_a_trace_nested_3000_pushes_deep():
+    # Past Python's recursion limit, in the focus and under an undo mark.
+    t = None
+    for _ in range(3000):
+        t = (TPush(t), None)
+    assert check_okay(TraceZipper(None, t), lambda s: False)
+    assert check_okay(TraceZipper((UndoMark(t), None), t), lambda s: False)
+    bad = (TPush((TPop(()), None)), None)
+    for _ in range(3000):
+        bad = (TPush(bad), None)
+    assert not check_okay(TraceZipper(None, bad), lambda s: False)
 
 
 def test_okay_from_scratch_trace_via_fsc(corpus):
