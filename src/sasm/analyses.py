@@ -23,14 +23,6 @@ def _vals_vars(vs) -> set[str]:
     return {v for v in vs if isinstance(v, str)}
 
 
-def _inst_vars(inst: A.Instruction) -> set[str]:
-    if isinstance(inst, A.Alloc):
-        return _vals_vars((inst.size,))
-    if isinstance(inst, A.Read):
-        return _vals_vars((inst.loc, inst.off))
-    return _vals_vars((inst.loc, inst.off, inst.val))
-
-
 @dataclass
 class LiveSet:
     """Per-expression-id live names (variables and function names), and for
@@ -84,10 +76,9 @@ def live_vars(prog: A.Program) -> LiveSet:
         for let in reversed(chain):
             if isinstance(let, A.FunDef):
                 out = out - {let.fname}
-            elif isinstance(let, A.PrimOp):
-                out = frozenset(_vals_vars(let.args)) | (out - {let.var})
             else:
-                out = frozenset(_inst_vars(let.inst)) | (out - {let.var})
+                out = (frozenset(_vals_vars(A.operands(let)))
+                       | (out - {let.var}))
             if record is not None:
                 record[let.eid] = out
         return out

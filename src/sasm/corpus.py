@@ -76,14 +76,10 @@ def parse_edit_line(line: str) -> Edit:
 
 
 def apply_edits(store: Store, labels: dict[str, MachineValue],
-                edits: list[Edit]) -> set[tuple[int, int]]:
-    """Apply edits; returns the set of dirtied (location id, offset) entries."""
-    dirty = set()
+                edits: list[Edit]) -> None:
+    """Write each edit's value into the store."""
     for e in edits:
-        loc, off, val = e.resolve(labels)
-        store.write(loc, off, val)
-        dirty.add((loc.id, off))
-    return dirty
+        store.write(*e.resolve(labels))
 
 
 @dataclass

@@ -50,11 +50,7 @@ class DpsContext:
     def for_program(cls, prog: A.Program) -> "DpsContext":
         used = set(prog.inputs)
         for e in A.walk_program(prog):
-            if isinstance(e, A.FunDef):
-                used.add(e.fname)
-                used.update(e.params)
-            elif isinstance(e, (A.PrimOp, A.Inst)):
-                used.add(e.var)
+            used.update(A.binders(e))
         arity = {d.fname: len(d.params) for d in prog.fun_index().values()}
         return cls(used=used, arity=arity)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, ClassVar, Iterator, Optional, Union
 
 # A value is a 64-bit integer literal or a variable name.
 Value = Union[int, str]
@@ -62,25 +62,48 @@ class Expr:
 
 @dataclass(eq=False)
 class Instruction:
+    """An instruction's operands are its fields other than `pos`, in source
+    order (`operands`); `keyword` names it in the concrete syntax."""
+
     pos: Optional[Pos] = field(default=None, kw_only=True)
 
 
 @dataclass(eq=False)
 class Alloc(Instruction):
+    keyword: ClassVar[str] = "alloc"
     size: Value = 0
+
+    @property
+    def operands(self) -> tuple[Value, ...]:
+        return (self.size,)
 
 
 @dataclass(eq=False)
 class Read(Instruction):
+    keyword: ClassVar[str] = "read"
     loc: Value = ""
     off: Value = 0
+
+    @property
+    def operands(self) -> tuple[Value, ...]:
+        return (self.loc, self.off)
 
 
 @dataclass(eq=False)
 class Write(Instruction):
+    keyword: ClassVar[str] = "write"
     loc: Value = ""
     off: Value = 0
     val: Value = 0
+
+    @property
+    def operands(self) -> tuple[Value, ...]:
+        return (self.loc, self.off, self.val)
+
+
+# The instruction class of each keyword; its operands are its positional
+# constructor arguments, e.g. INSTRUCTIONS["read"](loc, off).
+INSTRUCTIONS = {c.keyword: c for c in (Alloc, Read, Write)}
 
 
 @dataclass(eq=False)
@@ -181,17 +204,54 @@ class Program:
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, FunDef):
-        return (e.body, e.cont)
-    if isinstance(e, (PrimOp, Inst)):
+    t = type(e)
+    if t is PrimOp or t is Inst:
         return (e.cont,)
-    if isinstance(e, If):
+    if t is FunDef:
+        return (e.body, e.cont)
+    if t is If:
         return (e.then, e.els)
-    if isinstance(e, (Memo, Update)):
-        return (e.body,)
-    if isinstance(e, Push):
+    if t is Memo or t is Update or t is Push:
         return (e.body,)
     return ()
+
+
+def operands(e: Expr) -> tuple[Value, ...]:
+    """The values a command reads, in source order."""
+    t = type(e)
+    if t is PrimOp or t is App:
+        return e.args
+    if t is Inst:
+        return e.inst.operands
+    if t is Pop:
+        return e.vals
+    if t is If:
+        return (e.cond,)
+    return ()
+
+
+def binders(e: Expr) -> tuple[str, ...]:
+    """The names a command binds: a function and its parameters, or a let's
+    variable."""
+    t = type(e)
+    if t is FunDef:
+        return (e.fname, *e.params)
+    if t is PrimOp or t is Inst:
+        return (e.var,)
+    return ()
+
+
+def _head(e: Expr):
+    """What names a command besides its binders, operands and children:
+    the primitive, the instruction, or the function called or pushed."""
+    t = type(e)
+    if t is PrimOp:
+        return e.op
+    if t is Inst:
+        return type(e.inst)
+    if t is App or t is Push:
+        return e.fname
+    return None
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -233,52 +293,23 @@ def copy_expr(e: Expr) -> Expr:
 
 
 def ast_equal(a, b) -> bool:
-    """Structural equality ignoring positions and expression ids.
-
-    Iterative over continuation chains (builders run thousands deep)."""
-    while True:
-        if a is None or b is None:
-            return a is b  # top-level defs carry no continuation
+    """Structural equality ignoring positions and expression ids: equal
+    kinds, heads, binders and operands, node by node (a work list, as
+    builders run thousands deep)."""
+    work = [(a, b)]
+    while work:
+        a, b = work.pop()
         if type(a) is not type(b):
             return False
-        if isinstance(a, FunDef):
-            if not (a.fname == b.fname and a.params == b.params
-                    and ast_equal(a.body, b.body)):
-                return False
-            a, b = a.cont, b.cont
+        if a is None:  # top-level defs carry no continuation
             continue
-        if isinstance(a, PrimOp):
-            if not (a.var == b.var and a.op == b.op and a.args == b.args):
-                return False
-            a, b = a.cont, b.cont
-            continue
-        if isinstance(a, Inst):
-            if not (a.var == b.var and ast_equal(a.inst, b.inst)):
-                return False
-            a, b = a.cont, b.cont
-            continue
-        if isinstance(a, If):
-            return (a.cond == b.cond and ast_equal(a.then, b.then)
-                    and ast_equal(a.els, b.els))
-        if isinstance(a, App):
-            return a.fname == b.fname and a.args == b.args
-        if isinstance(a, (Memo, Update)):
-            a, b = a.body, b.body
-            continue
-        if isinstance(a, Push):
-            if a.fname != b.fname:
-                return False
-            a, b = a.body, b.body
-            continue
-        if isinstance(a, Pop):
-            return a.vals == b.vals
-        if isinstance(a, Alloc):
-            return a.size == b.size
-        if isinstance(a, Read):
-            return a.loc == b.loc and a.off == b.off
-        if isinstance(a, Write):
-            return a.loc == b.loc and a.off == b.off and a.val == b.val
-        raise TypeError(f"not an AST node: {a!r}")
+        if not isinstance(a, Expr):
+            raise TypeError(f"not an AST node: {a!r}")
+        if _head(a) != _head(b) or binders(a) != binders(b) \
+                or operands(a) != operands(b):
+            return False
+        work.extend(zip(children(a), children(b)))
+    return True
 
 
 def program_equal(a: Program, b: Program) -> bool:
@@ -291,20 +322,11 @@ def program_equal(a: Program, b: Program) -> bool:
 
 def ends_properly(e: Expr) -> bool:
     """Every expression ends syntactically in an application or a pop."""
-    while True:
-        if isinstance(e, (App, Pop)):
-            return True
-        if isinstance(e, FunDef):
-            if not ends_properly(e.body):
-                return False
-            e = e.cont
-        elif isinstance(e, (PrimOp, Inst)):
-            e = e.cont
-        elif isinstance(e, If):
-            return ends_properly(e.then) and ends_properly(e.els)
-        elif isinstance(e, (Memo, Update)):
-            e = e.body
-        elif isinstance(e, Push):
-            e = e.body
-        else:
+    work = [e]
+    while work:
+        e = work.pop()
+        kids = children(e)
+        if not kids and not isinstance(e, (App, Pop)):
             raise TypeError(f"not an expression: {e!r}")
+        work.extend(kids)
+    return True

@@ -26,8 +26,8 @@ import re
 from dataclasses import dataclass
 
 from .ilast import (
-    Alloc, App, Expr, FunDef, If, Inst, Memo, Pop, Pos, PrimOp, Program,
-    Push, Read, Update, Value, Write, PRIMOPS, number_exprs,
+    App, Expr, FunDef, If, Inst, Memo, Pop, Pos, PrimOp, Program, Push,
+    Update, Value, INSTRUCTIONS, PRIMOPS, number_exprs,
 )
 from .wf import ArityError, check_arity
 
@@ -40,9 +40,8 @@ class ParseError(Exception):
 
 
 KEYWORDS = {
-    "let", "fun", "in", "if", "then", "else", "prim", "alloc", "read",
-    "write", "memo", "update", "push", "do", "pop", "cut",
-    "arity", "input", "labels",
+    "let", "fun", "in", "if", "then", "else", "prim", *INSTRUCTIONS,
+    "memo", "update", "push", "do", "pop", "cut", "arity", "input", "labels",
 }
 
 # Blanks, then a word, punctuation, an ASCII integer, a newline, a comment,
@@ -219,7 +218,7 @@ class _Parser:
         var_tok = self.expect("ident", "variable")
         self.expect("=")
         t = self.next()
-        if t.kind != "kw" or t.text not in ("prim", "alloc", "read", "write"):
+        if t.kind != "kw" or (t.text != "prim" and t.text not in INSTRUCTIONS):
             raise ParseError("expected 'prim', 'alloc', 'read' or 'write'",
                              t.line, t.col)
         if t.text == "prim":
@@ -233,18 +232,13 @@ class _Parser:
             return PrimOp(var=var, op=op_tok.text, args=args, cont=None,
                           pos=pos), env2
         args = self.value_list(env)
-        ipos = Pos(t.line, t.col)
-        counts = {"alloc": 1, "read": 2, "write": 3}
-        if len(args) != counts[t.text]:
+        cls = INSTRUCTIONS[t.text]
+        takes = len(cls().operands)
+        if len(args) != takes:
             raise ParseError(
-                f"{t.text} takes {counts[t.text]} argument(s), got {len(args)}",
+                f"{t.text} takes {takes} argument(s), got {len(args)}",
                 t.line, t.col)
-        if t.text == "alloc":
-            inst = Alloc(size=args[0], pos=ipos)
-        elif t.text == "read":
-            inst = Read(loc=args[0], off=args[1], pos=ipos)
-        else:
-            inst = Write(loc=args[0], off=args[1], val=args[2], pos=ipos)
+        inst = cls(*args, pos=Pos(t.line, t.col))
         var, env2 = self.bind(var_tok, env)
         self.expect_kw("in")
         return Inst(var=var, inst=inst, cont=None, pos=pos), env2

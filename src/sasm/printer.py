@@ -5,21 +5,13 @@ from __future__ import annotations
 from . import ilast as A
 
 
-def _val(v: A.Value) -> str:
-    return str(v)
-
-
 def _vals(vs) -> str:
-    return ", ".join(_val(v) for v in vs)
+    return ", ".join(map(str, vs))
 
 
-def _inst_call(inst: A.Instruction) -> str:
-    if isinstance(inst, A.Alloc):
-        return f"alloc({_val(inst.size)})"
-    if isinstance(inst, A.Read):
-        return f"read({_val(inst.loc)}, {_val(inst.off)})"
-    assert isinstance(inst, A.Write)
-    return f"write({_val(inst.loc)}, {_val(inst.off)}, {_val(inst.val)})"
+# Each instruction's call form, such as "read(%s, %s)", for its operands.
+_CALLS = {kw: f"{kw}({', '.join(['%s'] * len(cls().operands))})"
+          for kw, cls in A.INSTRUCTIONS.items()}
 
 
 def print_expr(e: A.Expr, indent: int = 0) -> str:
@@ -38,7 +30,9 @@ def print_expr(e: A.Expr, indent: int = 0) -> str:
             e = e.cont
             continue
         if isinstance(e, A.Inst):
-            out.append(f"{pad}let {e.var} = {_inst_call(e.inst)} in")
+            inst = e.inst
+            call = _CALLS[inst.keyword] % inst.operands
+            out.append(f"{pad}let {e.var} = {call} in")
             e = e.cont
             continue
         if isinstance(e, A.If):

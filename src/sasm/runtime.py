@@ -317,8 +317,7 @@ class Runtime:
         """The entry's value in its history just after `at`, so the
         session's own writes are already there.  That one search also
         leaves `hist` and `pos` where _record indexes the read."""
-        if type(loc) is Loc and type(off) is int and \
-                loc.id not in self.base.garbage:
+        if type(loc) is Loc and type(off) is int:
             key = (loc.id, off)
             v = self.base.cells.get(key)
             h = self.histories.get(key)
@@ -336,7 +335,7 @@ class Runtime:
     def write(self, loc, off, val) -> int:
         """Range-checked, and the entry's history searched once, as a read
         does: _record indexes the write at `pos` once the rule returns."""
-        if type(loc) is Loc and loc.id not in self.base.garbage:
+        if type(loc) is Loc:
             key = (loc.id, off)
             if key in self.base.cells:
                 h = self.histories.get(key)
@@ -608,15 +607,13 @@ class Runtime:
 
     def _value_now(self, node: TraceNode, a: TRead):
         """The entry's value just before the read `a` of `node`; None if
-        unavailable."""
-        loc, off = a.loc, a.off
-        if loc.id in self.base.garbage:
-            return None
-        base_val = self.base.peek(loc, off)
-        h = self.histories.get((loc.id, off))
+        unavailable, as when its location was retired, which took the
+        entry's cell and history."""
+        h = self.histories.get((a.loc.id, a.off))
         if h is None:
-            return base_val
-        return h.write_before(h.find(self.om, node, a), base_val)
+            return None
+        return h.write_before(h.find(self.om, node, a),
+                              self.base.peek(a.loc, a.off))
 
     def _replay_window(self, node: TraceNode) -> None:
         """The faithful machine replays the reads after `node`, a bracket,

@@ -81,12 +81,10 @@ class TracingMachine:
         self.live = live
         self.log: list[str] = []
         self.final_trace: Trace = None
-        # Pending composite ops: a memo match drains the prefix one undo step
-        # per machine step, then switches via E.P.  The depth counter keeps
-        # the match at the top level: a drain may pass through nested
-        # subtraces containing an identical memo action.
+        # A taken memo match drains the prefix one undo step per machine
+        # step, then switches via E.P at the matched action itself: an equal
+        # memo action in a subtrace on the way is undone like any other.
         self._seek_target: Optional[TMemo] = None
-        self._seek_depth = 0
 
     # -- helpers ---------------------------------------------------------
 
@@ -122,24 +120,20 @@ class TracingMachine:
             if type(a) is TPush:
                 self.ctx = (UndoMark(tail), self.ctx)
                 self.focus = a.sub
-                self._seek_depth += 1
                 return self._emit("U.3")
             self.focus = tail
             return self._emit("U.2")
         if self.ctx is not None and type(self.ctx[0]) is UndoMark:
             self.focus = self.ctx[0].sub
             self.ctx = self.ctx[1]
-            self._seek_depth -= 1
             return self._emit("U.4")
         raise Stuck("U", "nothing to undo")
 
     def _seek_step(self) -> str:
         """A step of a taken memo match: undo the reuse trace up to the
         matching memo action, then switch to propagating after it."""
-        target = self._seek_target
         head = self.focus[0] if self.focus is not None else None
-        if (self._seek_depth == 0 and type(head) is TMemo
-                and head.eid == target.eid and head.env == target.env):
+        if head is self._seek_target:
             # E.P: matched; switch to propagation over the reused tail.
             self._seek_target = None
             self.ctx = (head, self.ctx)
@@ -289,7 +283,6 @@ class TracingMachine:
             match = self.seek_memo(action)
             if match is not None:
                 self._seek_target = match
-                self._seek_depth = 0
                 return self._seek_step()
         self.ctx = (action, self.ctx)
         self.env, self.command = env, command

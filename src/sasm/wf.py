@@ -53,12 +53,10 @@ class _ArityCheck:
             if isinstance(e, A.If):
                 a, b = self.pop_of(e.then), self.pop_of(e.els)
                 return a if a is not None else b
-            if isinstance(e, (A.FunDef, A.PrimOp, A.Inst)):
-                e = e.cont
-            elif isinstance(e, (A.Memo, A.Update)):
-                e = e.body
-            else:
+            kids = A.children(e)  # a let's continuation, a point's body
+            if not kids:
                 raise TypeError(f"not an expression: {e!r}")
+            e = kids[-1]
 
     def solve(self) -> None:
         changed = True
@@ -128,16 +126,9 @@ def check_wf(prog: A.Program) -> list[Diagnostic]:
         else:
             seen[name] = _pos(node)
 
-    def binders(e: A.Expr) -> None:
-        if isinstance(e, A.FunDef):
-            declare(e.fname, e)
-            for p in e.params:
-                declare(p, e)
-        elif isinstance(e, (A.PrimOp, A.Inst)):
-            declare(e.var, e)
-
     for node in A.walk_program(prog):
-        binders(node)
+        for name in A.binders(node):
+            declare(name, node)
     for name in prog.inputs:
         declare(name, prog.entry)
 
@@ -162,11 +153,13 @@ def check_wf(prog: A.Program) -> list[Diagnostic]:
         while work:
             e, vars_, funs = work.pop()
             while True:
-                if isinstance(e, A.FunDef):
+                t = type(e)
+                if t is A.FunDef:
                     funs = funs | {e.fname}
                     work.append((e.body, vars_ | set(e.params), funs))
                     e = e.cont
-                elif isinstance(e, A.PrimOp):
+                    continue
+                if t is A.PrimOp:
                     if e.op not in A.PRIMOPS:
                         l, c = _pos(e)
                         diags.append(Diagnostic(
@@ -176,50 +169,26 @@ def check_wf(prog: A.Program) -> list[Diagnostic]:
                         diags.append(Diagnostic(
                             f"primitive {e.op!r} takes "
                             f"{A.PRIMOP_ARITY[e.op]} args", l, c))
-                    for v in e.args:
-                        use_var(v, vars_, e)
-                    vars_ = vars_ | {e.var}
-                    e = e.cont
-                elif isinstance(e, A.If):
-                    use_var(e.cond, vars_, e)
-                    work.append((e.els, vars_, funs))
-                    e = e.then
-                elif isinstance(e, A.App):
+                elif t is A.App or t is A.Push:
                     use_fun(e.fname, funs, e)
-                    takes = (len(fun_index[e.fname].params)
-                             if e.fname in funs else len(e.args))
-                    if takes != len(e.args):
-                        l, c = _pos(e)
-                        diags.append(Diagnostic(
-                            f"call of {e.fname!r} passes {len(e.args)} "
-                            f"args, it takes {takes}", l, c))
-                    for a in e.args:
-                        use_var(a, vars_, e)
+                    if t is A.App and e.fname in funs:
+                        takes = len(fun_index[e.fname].params)
+                        if takes != len(e.args):
+                            l, c = _pos(e)
+                            diags.append(Diagnostic(
+                                f"call of {e.fname!r} passes {len(e.args)} "
+                                f"args, it takes {takes}", l, c))
+                for v in A.operands(e):
+                    use_var(v, vars_, e)
+                bound = A.binders(e)
+                if bound:
+                    vars_ = vars_.union(bound)
+                kids = A.children(e)
+                if not kids:
                     break
-                elif isinstance(e, A.Inst):
-                    inst = e.inst
-                    if isinstance(inst, A.Alloc):
-                        use_var(inst.size, vars_, e)
-                    elif isinstance(inst, A.Read):
-                        use_var(inst.loc, vars_, e)
-                        use_var(inst.off, vars_, e)
-                    elif isinstance(inst, A.Write):
-                        use_var(inst.loc, vars_, e)
-                        use_var(inst.off, vars_, e)
-                        use_var(inst.val, vars_, e)
-                    vars_ = vars_ | {e.var}
-                    e = e.cont
-                elif isinstance(e, (A.Memo, A.Update)):
-                    e = e.body
-                elif isinstance(e, A.Push):
-                    use_fun(e.fname, funs, e)
-                    e = e.body
-                elif isinstance(e, A.Pop):
-                    for v in e.vals:
-                        use_var(v, vars_, e)
-                    break
-                else:
-                    raise TypeError(f"not an expression: {e!r}")
+                if len(kids) == 2:  # an if: its else branch after its then
+                    work.append((kids[1], vars_, funs))
+                e = kids[0]
 
     inputs = frozenset(prog.inputs)
     for d in prog.defs:

@@ -235,9 +235,22 @@ def test_saved_names_are_the_sorted_live_variables():
 
 
 # The recursive definitions that `live_vars` and `expr_reaches_update`
-# replaced, kept as references for the loop-based ones.
+# replaced, kept as references for the loop-based ones.  The reference
+# spells out each instruction's operands itself, so it does not share
+# `ilast.operands` with the analysis it checks.
+def _vals_vars(vs):
+    return {v for v in vs if isinstance(v, str)}
+
+
+def _inst_vars(inst):
+    if isinstance(inst, A.Alloc):
+        return _vals_vars((inst.size,))
+    if isinstance(inst, A.Read):
+        return _vals_vars((inst.loc, inst.off))
+    return _vals_vars((inst.loc, inst.off, inst.val))
+
+
 def _live_vars_recursive(prog):
-    from sasm.analyses import LiveSet, _inst_vars, _vals_vars
     funs = prog.fun_index()
     fns = frozenset(funs)
     needs = {f: frozenset() for f in funs}

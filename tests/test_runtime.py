@@ -636,6 +636,7 @@ def test_soak_list_map_keeps_updates_last_and_no_garbage_histories():
         apply_edits(host, labels, edits)
         fast = rt.propagate([e.resolve(labels) for e in edits])
         assert not {lid for lid, _ in rt.histories} & rt.base.garbage, batch
+        assert not {lid for lid, _ in rt.base.cells} & rt.base.garbage, batch
         assert rt.live_entries == len(rt.flat_trace()), batch
         assert flatten(rt.build_trace()) == rt.flat_trace(), batch
         n = rt.head.next
@@ -1076,6 +1077,8 @@ def _check_histories(rt, where):
         for node, a in zip(h.nodes, h.actions):
             assert node.alive and any(b is a for b in node.actions), where
     assert not index, where
+    # An entry is available exactly when it has a cell: garbage has none.
+    assert not {lid for lid, _ in rt.base.cells} & rt.base.garbage, where
 
 
 def test_histories_equal_an_index_rebuilt_from_the_trace(corpus):

@@ -94,6 +94,23 @@ def test_memo_seek_drops_stale_prefix_then_matches():
     assert m.store.garbage  # the undone alloc became garbage
 
 
+def test_memo_seek_switches_at_the_top_level_action_itself():
+    # Reuse trace: push{M#k ρ; pop}; M#k ρ; pop.  seek_memo returns the
+    # top-level M#k ρ; the drain passes an equal memo action inside the
+    # push, which it must undo like any other and not switch at.
+    p = parse_program("input x\nmemo pop(x)\narity 1")
+    memo, pop = to_list(run_from_scratch(p, inputs={"x": 5}).trace)
+    inner = TMemo(memo.eid, memo.env)
+    top = TMemo(memo.eid, memo.env)
+    assert inner == top and inner is not top
+    reuse = from_list([TPush(from_list([inner, pop])), top, pop])
+    m = machine_for(p, reuse=reuse, env={"x": 5})
+    tags = [m.step() for _ in range(5)]
+    assert tags == ["U.3", "U.2", "U.2", "U.4", "E.P"]
+    assert m.ctx[0] is top and m.command is PROP
+    assert to_list(m.focus) == [pop]
+
+
 def test_memo_seek_not_found_takes_e4():
     p = parse_program("input x\nmemo pop(x)\narity 1")
     t1 = run_from_scratch(p, inputs={"x": 5})
